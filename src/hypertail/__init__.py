@@ -28,13 +28,13 @@ from .bounds import (
     best_bound,
     concentration_bound,
     kl_upper_tail_bound,
+    tail_bound,
 )
 from .errors import DomainError, UnsupportedBoundError
 from .exact import (
     RATIONAL_LIMIT,
     ExactProb,
     Population,
-    SampleOutcome,
     as_population,
     flip_symmetry,
     lower_tail,
@@ -84,7 +84,6 @@ __all__ = [
     "REGIME_S2",
     "Population",
     "RATIONAL_LIMIT",
-    "SampleOutcome",
     "SampleSizeResult",
     "SimulationConfig",
     "SimulationReport",
@@ -109,6 +108,7 @@ __all__ = [
     "required_sample_size",
     "sample_size_lower_estimate",
     "swap_symmetry",
+    "tail_bound",
     "two_sided_exact",
     "upper_tail",
 ]

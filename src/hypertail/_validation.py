@@ -18,9 +18,14 @@ def as_int(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_range(value, name: str, low, high) -> int:
+def check_range(value, name: str, low, high=None) -> int:
+    """Coerce an integer with low <= value, and value <= high unless high
+    is None; the message names the violated constraint."""
     value = as_int(value, name)
-    if not low <= value <= high:
+    if high is None:
+        if value < low:
+            raise DomainError(f"{name} must satisfy {name} >= {low}, got {value}")
+    elif not low <= value <= high:
         raise DomainError(f"{name} must satisfy {low} <= {name} <= {high}, got {value}")
     return value
 

@@ -2,19 +2,26 @@
 
 For a sample of n draws from a population of size N with positive
 fraction p = M/N, these bounds control P[i >= (p + t) n] (and by
-symmetry P[i <= (p - t) n]) for a deviation fraction t > 0:
+symmetry P[i <= (p - t) n]) for a deviation fraction t > 0.  The KL
+form is
 
     KL  exp(-n * D(p + t || p))   D = Kullback-Leibler divergence
                                   between Bernoulli distributions
-    B1  exp(-2 t^2 n)
-    B2  exp(-2 t^2 n * N / (N - n + 1))
-    B3  exp(-2 t^2 n * n / (N - n))
-    B4  exp(-2 t^2 n * n N / ((N - n)(n + 1)))
+
+and the four Hoeffding-style bounds are one formula, exp(-2 t^2 n g),
+with the coefficient g(N, n) taken from one table:
+
+    B1  g = 1
+    B2  g = N / (N - n + 1)
+    B3  g = n / (N - n)                  (n < N)
+    B4  g = n N / ((N - n)(n + 1))       (n < N)
 
 B2 tightens B1 and B4 tightens B3 for every sample size; B3 and B4 beat
 B1 and B2 exactly when n > N/2, and the pairs coincide at n = N/2.
 Each bound is clamped to 1 on return; the unclamped log survives in
-``BoundValue.exponent``.
+``BoundValue.exponent``.  The confidence intervals and miscoverages of
+`hypertail.inference` (C1/C2, D1/D2 and the legacy B1 forms) invert
+this exponent for the g of B2, B4 and B1.
 """
 
 from __future__ import annotations
@@ -22,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from ._validation import as_int, check_positive, check_range
 from .errors import DomainError, UnsupportedBoundError
-from .exact import _log_add, as_population
+from .exact import Population, _log_add, as_population
 
 _LN2 = math.log(2.0)
 
@@ -55,27 +61,36 @@ class BoundValue:
     two_sided: bool = False
 
 
-def _single(exponent: float, family: BoundFamily) -> BoundValue:
+def _clamped(exponent: float, family: BoundFamily, two_sided=False) -> BoundValue:
+    """The clamped bound for a single-tail exponent, doubled if two-sided;
+    an exponent of -inf gives 0."""
     exponent = min(0.0, exponent)
-    return BoundValue(min(1.0, math.exp(exponent)), family, exponent)
+    scale = 2.0 if two_sided else 1.0
+    return BoundValue(min(1.0, scale * math.exp(exponent)), family, exponent, two_sided)
 
 
-def _doubled(exponent: float, family: BoundFamily) -> BoundValue:
-    exponent = min(0.0, exponent)
-    return BoundValue(min(1.0, 2.0 * math.exp(exponent)), family, exponent, True)
+def _check_nt(N, n, t):
+    if N is not None:
+        N = as_int(N, "N")
+    return N, check_range(n, "n", 1, N), check_positive(t, "t")
 
 
-def _zero(family: BoundFamily, two_sided: bool = False) -> BoundValue:
-    return BoundValue(0.0, family, float("-inf"), two_sided)
+def _coefficient(family: BoundFamily, N, n: int) -> float:
+    """The coefficient g(N, n) of the exponent -2 t^2 n g (module table)."""
+    if family is BoundFamily.B1:
+        return 1.0
+    if family is BoundFamily.B2:
+        return N / (N - n + 1)
+    if n >= N:
+        raise UnsupportedBoundError(f"n must satisfy n < N = {N}, got {n}")
+    if family is BoundFamily.B3:
+        return n / (N - n)
+    return (n * N) / ((N - n) * (n + 1))
 
 
-def _check_nt(n, t, N=None):
-    n = as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must satisfy n >= 1, got {n}")
-    if N is not None and n > N:
-        raise DomainError(f"n must satisfy n <= N = {N}, got {n}")
-    return n, check_positive(t, "t")
+def _closed_form(family: BoundFamily, N, n, t) -> BoundValue:
+    N, n, t = _check_nt(N, n, t)
+    return _clamped(-2.0 * t * t * n * _coefficient(family, N, n), family)
 
 
 def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:
@@ -89,60 +104,51 @@ def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:
     pop = as_population(pop)
     if pop.M is None:
         raise UnsupportedBoundError("the KL bound requires a known positive count M")
-    n, t = _check_nt(n, t, pop.N)
-    p_frac = pop.positive_fraction
-    # Branch on exact rationals so the boundary cases do not depend on
-    # floating-point cancellation in 1 - p - t.
-    t_frac = Fraction(t)
-    if p_frac == 0 or p_frac + t_frac > 1:
-        return _zero(BoundFamily.KL)
-    p = float(p_frac)
-    shifted = float(p_frac + t_frac)
-    if p_frac + t_frac == 1:
+    N, M = pop.N, pop.M
+    _, n, t = _check_nt(N, n, t)
+    # Branch on integers so the boundary cases do not depend on
+    # floating-point cancellation in 1 - p - t: with t = a/b,
+    # (1 - p - t) N b = (N - M) b - a N exactly.
+    a, b = t.as_integer_ratio()
+    rest = (N - M) * b - a * N
+    if M == 0 or rest < 0:
+        return _clamped(float("-inf"), BoundFamily.KL)
+    # Each quotient of integers below is rounded once.
+    p = M / N
+    shifted = (M * b + a * N) / (N * b)
+    if rest == 0:
         exponent = n * shifted * math.log(p / shifted)
     else:
-        # Form the small tail mass 1 - p - t exactly before rounding once.
-        remainder = float(1 - p_frac - t_frac)
+        remainder = rest / (N * b)
         exponent = n * (
             shifted * math.log(p / shifted)
-            + remainder * math.log(float(1 - p_frac) / remainder)
+            + remainder * math.log(((N - M) / N) / remainder)
         )
-    return _single(exponent, BoundFamily.KL)
+    return _clamped(exponent, BoundFamily.KL)
 
 
 def b1_tail(n: int, t: float) -> BoundValue:
     """min(1, exp(-2 t^2 n)): the sample-size-only bound, valid for
     either tail."""
-    n, t = _check_nt(n, t)
-    return _single(-2.0 * t * t * n, BoundFamily.B1)
+    return _closed_form(BoundFamily.B1, None, n, t)
 
 
 def b2_tail(N: int, n: int, t: float) -> BoundValue:
     """min(1, exp(-2 t^2 n N / (N - n + 1))): tightens b1 by the
     without-replacement factor N/(N - n + 1), valid for either tail."""
-    N = as_int(N, "N")
-    n, t = _check_nt(n, t, N)
-    return _single(-2.0 * t * t * n * (N / (N - n + 1)), BoundFamily.B2)
+    return _closed_form(BoundFamily.B2, N, n, t)
 
 
 def b3_tail(N: int, n: int, t: float) -> BoundValue:
     """min(1, exp(-2 t^2 n^2 / (N - n))): the complement-sample bound,
     defined for n < N and tighter than b1 once n > N/2."""
-    N = as_int(N, "N")
-    n, t = _check_nt(n, t, N)
-    if n >= N:
-        raise DomainError(f"n must satisfy n < N = {N}, got {n}")
-    return _single(-2.0 * t * t * n * (n / (N - n)), BoundFamily.B3)
+    return _closed_form(BoundFamily.B3, N, n, t)
 
 
 def b4_tail(N: int, n: int, t: float) -> BoundValue:
     """min(1, exp(-2 t^2 n^2 N / ((N - n)(n + 1)))): the complement
     form of b2, defined for n < N and tighter than b2 once n > N/2."""
-    N = as_int(N, "N")
-    n, t = _check_nt(n, t, N)
-    if n >= N:
-        raise DomainError(f"n must satisfy n < N = {N}, got {n}")
-    return _single(-2.0 * t * t * n * ((n * N) / ((N - n) * (n + 1))), BoundFamily.B4)
+    return _closed_form(BoundFamily.B4, N, n, t)
 
 
 def best_bound(N: int, n: int, t: float) -> BoundValue:
@@ -152,16 +158,31 @@ def best_bound(N: int, n: int, t: float) -> BoundValue:
     form is excluded because it needs M, which the planning use cases
     do not have.
     """
-    N = as_int(N, "N")
-    n = as_int(n, "n")
-    two = b2_tail(N, n, t)
+    N, n, t = _check_nt(N, n, t)
+    base = -2.0 * t * t * n
+    exponent = base * _coefficient(BoundFamily.B2, N, n)
     if n == N:
-        return two
-    four = b4_tail(N, n, t)
-    family = BoundFamily.B2 if 2 * n <= N else BoundFamily.B4
-    return BoundValue(
-        min(two.value, four.value), family, min(two.exponent, four.exponent), False
-    )
+        return _clamped(exponent, BoundFamily.B2)
+    exponent = min(exponent, base * _coefficient(BoundFamily.B4, N, n))
+    return _clamped(exponent, BoundFamily.B2 if 2 * n <= N else BoundFamily.B4)
+
+
+def tail_bound(
+    N: int, n: int, t: float, family: BoundFamily = BoundFamily.AUTO, M: int | None = None
+) -> BoundValue:
+    """One-sided bound on P[i >= (p + t) n] for the chosen family.
+
+    B1 through B4 bound either tail alike.  KL requires M and bounds the
+    upper tail of the population (N, M); B3 and B4 require n < N; AUTO
+    picks best_bound.
+    """
+    if not isinstance(family, BoundFamily):
+        raise DomainError(f"family must be a BoundFamily, got {family!r}")
+    if family is BoundFamily.KL:
+        return kl_upper_tail_bound(Population(N, M), n, t)
+    if family is BoundFamily.AUTO:
+        return best_bound(N, n, t)
+    return _closed_form(family, N, n, t)
 
 
 def concentration_bound(
@@ -177,32 +198,11 @@ def concentration_bound(
     still holds.  KL requires M; B3 and B4 require n < N; AUTO picks
     best_bound.
     """
-    N = as_int(N, "N")
-    n = as_int(n, "n")
-    if not isinstance(family, BoundFamily):
-        raise DomainError(f"family must be a BoundFamily, got {family!r}")
-    if family in (BoundFamily.B3, BoundFamily.B4) and n >= N:
-        raise UnsupportedBoundError(
-            f"family {family.value} requires n < N, got n = {n}, N = {N}"
-        )
-    if family is BoundFamily.KL:
-        if M is None:
-            raise UnsupportedBoundError("family kl requires a known positive count M")
-        M = check_range(M, "M", 0, N)
-        up = kl_upper_tail_bound((N, M), n, t)
-        down = kl_upper_tail_bound((N, N - M), n, t)
-        if up.exponent == float("-inf") and down.exponent == float("-inf"):
-            return _zero(BoundFamily.KL, two_sided=True)
-        return _doubled(_log_add(up.exponent, down.exponent) - _LN2, BoundFamily.KL)
-    if family is BoundFamily.AUTO:
-        single = best_bound(N, n, t)
-    elif family is BoundFamily.B1:
-        n, t = _check_nt(n, t, N)
-        single = b1_tail(n, t)
-    elif family is BoundFamily.B2:
-        single = b2_tail(N, n, t)
-    elif family is BoundFamily.B3:
-        single = b3_tail(N, n, t)
-    else:
-        single = b4_tail(N, n, t)
-    return _doubled(single.exponent, single.family_used)
+    if family is not BoundFamily.KL:
+        single = tail_bound(N, n, t, family)
+        return _clamped(single.exponent, single.family_used, two_sided=True)
+    pop = Population(N, M)
+    up = kl_upper_tail_bound(pop, n, t)
+    down = kl_upper_tail_bound(pop.flipped(), n, t)
+    exponent = _log_add(up.exponent, down.exponent) - _LN2
+    return _clamped(exponent, BoundFamily.KL, two_sided=True)

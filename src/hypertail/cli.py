@@ -27,6 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, exact, inference, montecarlo
+from ._validation import check_range
 from .errors import DomainError
 
 FORMATS = ("text", "json", "csv")
@@ -79,6 +80,11 @@ def _interval_results(r: inference.IntervalResult, digits: int, prefix: str = ""
     return results
 
 
+def _echo(args, *names) -> dict:
+    """The named arguments, in order: the record's echo of its inputs."""
+    return {name: getattr(args, name) for name in names}
+
+
 def _resolve_halfwidth(args) -> float:
     if args.halfwidth is not None:
         return args.halfwidth
@@ -96,13 +102,7 @@ def _cmd_pmf(args, digits):
         (args.population, args.positives), args.samples, args.observed, mode=args.mode
     )
     results, labels = _prob_results(res, digits)
-    inputs = {
-        "population": args.population,
-        "positives": args.positives,
-        "samples": args.samples,
-        "observed": args.observed,
-        "mode": args.mode,
-    }
+    inputs = _echo(args, "population", "positives", "samples", "observed", "mode")
     return _record("pmf", inputs, results, labels, [], digits)
 
 
@@ -111,14 +111,9 @@ def _cmd_tail(args, digits):
     res = op((args.population, args.positives), args.samples, args.threshold, mode=args.mode)
     results, labels = _prob_results(res, digits)
     labels["side"] = args.side
-    inputs = {
-        "population": args.population,
-        "positives": args.positives,
-        "samples": args.samples,
-        "threshold": args.threshold,
-        "side": args.side,
-        "mode": args.mode,
-    }
+    inputs = _echo(
+        args, "population", "positives", "samples", "threshold", "side", "mode"
+    )
     return _record("tail", inputs, results, labels, [], digits)
 
 
@@ -127,43 +122,16 @@ def _cmd_deviation(args, digits):
         (args.population, args.positives), args.samples, args.deviation, mode=args.mode
     )
     results, labels = _prob_results(res, digits)
-    inputs = {
-        "population": args.population,
-        "positives": args.positives,
-        "samples": args.samples,
-        "deviation": args.deviation,
-        "mode": args.mode,
-    }
+    inputs = _echo(args, "population", "positives", "samples", "deviation", "mode")
     return _record("deviation", inputs, results, labels, [], digits)
 
 
-def _single_bound(N, n, t, family, M):
-    if family is bounds.BoundFamily.KL:
-        return bounds.kl_upper_tail_bound(exact.Population(N, M), n, t)
-    if family is bounds.BoundFamily.AUTO:
-        return bounds.best_bound(N, n, t)
-    if family is bounds.BoundFamily.B1:
-        if n > N:
-            raise DomainError(f"n must satisfy n <= N = {N}, got {n}")
-        return bounds.b1_tail(n, t)
-    if family is bounds.BoundFamily.B2:
-        return bounds.b2_tail(N, n, t)
-    if family is bounds.BoundFamily.B3:
-        return bounds.b3_tail(N, n, t)
-    return bounds.b4_tail(N, n, t)
-
-
 def _cmd_bound(args, digits):
-    if args.samples <= 0:
-        raise DomainError(f"samples must satisfy samples >= 1, got {args.samples}")
+    check_range(args.samples, "samples", 1)
     t = args.deviation / args.samples
     family = bounds.BoundFamily(args.family)
-    if args.two_sided:
-        res = bounds.concentration_bound(
-            args.population, args.samples, t, family, M=args.positives
-        )
-    else:
-        res = _single_bound(args.population, args.samples, t, family, args.positives)
+    bound = bounds.concentration_bound if args.two_sided else bounds.tail_bound
+    res = bound(args.population, args.samples, t, family, M=args.positives)
     results = {
         "value": _fmt(res.value, digits),
         "exponent": _fmt(res.exponent, digits),
@@ -176,14 +144,9 @@ def _cmd_bound(args, digits):
     warnings = []
     if res.value >= 1.0:
         warnings.append("bound is vacuous (clamped to 1)")
-    inputs = {
-        "population": args.population,
-        "positives": args.positives,
-        "samples": args.samples,
-        "deviation": args.deviation,
-        "family": args.family,
-        "two_sided": args.two_sided,
-    }
+    inputs = _echo(
+        args, "population", "positives", "samples", "deviation", "family", "two_sided"
+    )
     return _record("bound", inputs, results, labels, warnings, digits)
 
 
@@ -209,13 +172,7 @@ def _cmd_ci(args, digits):
         )
         results.update(_interval_results(legacy, digits, prefix="legacy_"))
         labels["legacy_formula"] = legacy.formula
-    inputs = {
-        "population": args.population,
-        "samples": args.samples,
-        "observed": args.observed,
-        "delta": args.delta,
-        "compare": args.compare,
-    }
+    inputs = _echo(args, "population", "samples", "observed", "delta", "compare")
     return _record("ci", inputs, results, labels, warnings, digits)
 
 
@@ -235,12 +192,7 @@ def _cmd_confidence(args, digits):
         labels["legacy_formula"] = legacy.formula
         if legacy.vacuous:
             warnings.append("legacy confidence bound is vacuous (delta clamped to 1)")
-    inputs = {
-        "population": args.population,
-        "samples": args.samples,
-        "observed": args.observed,
-        "compare": args.compare,
-    }
+    inputs = _echo(args, "population", "samples", "observed", "compare")
     inputs.update(_halfwidth_inputs(args))
     return _record("confidence", inputs, results, labels, warnings, digits)
 
@@ -259,7 +211,7 @@ def _cmd_samplesize(args, digits):
         "lower_estimate": _fmt(estimate, digits),
     }
     labels = {"regime": r.regime}
-    inputs = {"population": args.population, "delta": args.delta}
+    inputs = _echo(args, "population", "delta")
     inputs.update(_halfwidth_inputs(args))
     return _record("samplesize", inputs, results, labels, [], digits)
 
@@ -267,8 +219,7 @@ def _cmd_samplesize(args, digits):
 def _cmd_simulate(args, digits):
     deltas = args.delta or []
     deviations = args.deviation or []
-    if args.samples <= 0:
-        raise DomainError(f"samples must satisfy samples >= 1, got {args.samples}")
+    check_range(args.samples, "samples", 1)
     fractions = [d / args.samples for d in deviations]
     report = montecarlo.coverage_experiment(
         args.population,
@@ -286,15 +237,8 @@ def _cmd_simulate(args, digits):
         results[f"coverage_{d:g}"] = _fmt(coverage, digits)
     for d, exceed in zip(deviations, report.tail_exceedance.values()):
         results[f"exceedance_{d:g}"] = _fmt(exceed, digits)
-    inputs = {
-        "population": args.population,
-        "positives": args.positives,
-        "samples": args.samples,
-        "trials": args.trials,
-        "seed": args.seed,
-        "delta": deltas,
-        "deviation": deviations,
-    }
+    inputs = _echo(args, "population", "positives", "samples", "trials", "seed")
+    inputs.update(delta=deltas, deviation=deviations)
     return _record("simulate", inputs, results, {}, [], digits)
 
 

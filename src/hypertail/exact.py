@@ -44,9 +44,7 @@ class Population:
     M: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "N", as_int(self.N, "N"))
-        if self.N < 1:
-            raise DomainError(f"N must satisfy N >= 1, got {self.N}")
+        object.__setattr__(self, "N", check_range(self.N, "N", 1))
         if self.M is not None:
             object.__setattr__(self, "M", check_range(self.M, "M", 0, self.N))
 
@@ -63,24 +61,6 @@ class Population:
     def flipped(self) -> "Population":
         """The same population with positive and negative labels swapped."""
         return Population(self.N, self.N - self.require_positives())
-
-
-@dataclass(frozen=True)
-class SampleOutcome:
-    """A draw of n individuals of which i were positive (0 <= i <= n)."""
-
-    n: int
-    i: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", as_int(self.n, "n"))
-        if self.n < 0:
-            raise DomainError(f"n must satisfy n >= 0, got {self.n}")
-        object.__setattr__(self, "i", check_range(self.i, "i", 0, self.n))
-
-    def check_against(self, pop: Population) -> None:
-        if self.n > pop.N:
-            raise DomainError(f"n must satisfy n <= N = {pop.N}, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -241,8 +221,10 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _check_sample(pop: Population, n) -> int:
-    return check_range(n, "n", 0, pop.N)
+def _check_sample(pop, n) -> tuple[Population, int, int]:
+    """The population, its required positive count M, and 0 <= n <= N."""
+    pop = as_population(pop)
+    return pop, pop.require_positives(), check_range(n, "n", 0, pop.N)
 
 
 def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
@@ -252,9 +234,7 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     (for example i > M) are inside that range and simply have
     probability zero.
     """
-    pop = as_population(pop)
-    M = pop.require_positives()
-    n = _check_sample(pop, n)
+    pop, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
     if _resolve_rational(pop, mode):
         numerator = _comb(M, i) * _comb(pop.N - M, n - i)
@@ -269,9 +249,7 @@ def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     covers the whole support (probability 1) for k >= n.  The symmetry
     transforms rely on those degenerate cases.
     """
-    pop = as_population(pop)
-    M = pop.require_positives()
-    n = _check_sample(pop, n)
+    pop, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
     hi = min(k, n)
     if _resolve_rational(pop, mode):
@@ -286,9 +264,7 @@ def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     As with lower_tail, k may be any integer; k <= 0 gives probability 1
     and k > n gives probability 0.
     """
-    pop = as_population(pop)
-    M = pop.require_positives()
-    n = _check_sample(pop, n)
+    pop, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
     lo = max(k, 0)
     if _resolve_rational(pop, mode):
@@ -308,9 +284,7 @@ def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
     deviation equals c exactly are included.  c > 0 keeps the two parts
     disjoint.
     """
-    pop = as_population(pop)
-    M = pop.require_positives()
-    n = _check_sample(pop, n)
+    pop, M, n = _check_sample(pop, n)
     if isinstance(c, float) and not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
     try:
@@ -337,9 +311,7 @@ def flip_symmetry(pop, n: int, k: int) -> tuple[Population, int]:
     lower_tail(pop, n, k) == upper_tail(*flip_symmetry(pop, n, k) ...)
     holds exactly.
     """
-    pop = as_population(pop)
-    pop.require_positives()
-    n = _check_sample(pop, n)
+    pop, _, n = _check_sample(pop, n)
     k = as_int(k, "k")
     return pop.flipped(), n - k
 
@@ -351,9 +323,7 @@ def swap_symmetry(pop, n: int, k: int) -> tuple[int, int]:
     Returns the complementary sample count and threshold.  Requires
     n < N so the complement sample is nonempty.
     """
-    pop = as_population(pop)
-    M = pop.require_positives()
-    n = _check_sample(pop, n)
+    pop, M, n = _check_sample(pop, n)
     if n == pop.N:
         raise DomainError("n must satisfy n < N; the complement sample is empty")
     k = as_int(k, "k")

@@ -2,18 +2,18 @@
 
 All intervals are centered at the point estimate iN/n and have the form
 [iN/n - c, iN/n + c] in population individuals.  The half-width c and
-the miscoverage delta are linked through the tightest applicable
-concentration bound, which switches family at n = N/2:
+the miscoverage delta are linked through a two-sided bound of
+`hypertail.bounds`, delta = 2 exp(-2 (c/N)^2 n g), with the coefficient
+g(N, n) of the tightest applicable family from that module's table: B2
+for n <= N/2 and B4 above.  Solving for either side gives
 
-    C1 (n <= N/2):  c = N sqrt(-((N - n + 1) / (2 n N)) ln(delta/2))
-    C2 (n >  N/2):  c = N sqrt(-((N - n)(n + 1) / (2 n^2 N)) ln(delta/2))
+    C1/C2:  c = N sqrt(-ln(delta/2) / (2 n g))
+    D1/D2:  delta = 2 exp(-2 (c/N)^2 n g)
 
-    D1 (n <= N/2):  delta = 2 exp(-2 c^2 n / (N (N - n + 1)))
-    D2 (n >  N/2):  delta = 2 exp(-2 c^2 n^2 / (N (N - n)(n + 1)))
-
-C1/D1 and C2/D2 are algebraic inverses of each other, and the pairs
-produce equal values at n = N/2.  A census (n = N) collapses C2 to a
-zero-width interval and D2 to miscoverage 0.
+with g = N / (N - n + 1) for C1/D1 (n <= N/2) and
+g = n N / ((N - n)(n + 1)) for C2/D2 (n > N/2).  C1/D1 and C2/D2 are
+algebraic inverses of each other, and the pairs produce equal values at
+n = N/2.  A census (n = N) has a zero-width interval and miscoverage 0.
 
 The sample-size planner inverts the c(n) relation: with x = (N/c)^2 and
 y = -(1/2) ln(delta/2), the smallest real n with half-width at most c is
@@ -27,9 +27,9 @@ solution lands at or below N/2, so each formula is applied inside the
 regime that derived it.
 
 The B1-based legacy forms c' = N sqrt(-ln(delta/2) / (2n)) and
-delta' = 2 exp(-2 c^2 n / N^2) ignore the finite-population correction;
-they are provided for side-by-side comparison only and are never
-selected automatically.
+delta' = 2 exp(-2 c^2 n / N^2) are the same relations with g = 1: they
+ignore the finite-population correction, are provided for side-by-side
+comparison only and are never selected automatically.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._validation import as_int, check_positive, check_probability, check_range
+from ._validation import check_positive, check_probability, check_range
+from .bounds import BoundFamily, _coefficient
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
@@ -83,9 +84,7 @@ class IntervalResult:
 
 
 def _check_query(N, n, i) -> tuple[int, int, int]:
-    N = as_int(N, "N")
-    if N < 1:
-        raise DomainError(f"N must satisfy N >= 1, got {N}")
+    N = check_range(N, "N", 1)
     n = check_range(n, "n", 1, N)
     i = check_range(i, "i", 0, n)
     return N, n, i
@@ -110,23 +109,49 @@ def _interval(N, n, i, halfwidth, delta, formula, vacuous=False, legacy=False):
     )
 
 
+def _link(N, n, legacy):
+    """The coefficient g of the bound that links c and delta (B1 for the
+    legacy forms, else B2 for n <= N/2 and B4 above) and the labels
+    (c from delta, delta from c).  g is None for a census (n = N outside
+    the legacy forms), where c = 0 and delta = 0.
+    """
+    if legacy:
+        return _coefficient(BoundFamily.B1, N, n), (FORMULA_B1, FORMULA_B1)
+    if 2 * n <= N:
+        return _coefficient(BoundFamily.B2, N, n), (FORMULA_C1, FORMULA_D1)
+    g = None if n == N else _coefficient(BoundFamily.B4, N, n)
+    return g, (FORMULA_C2, FORMULA_D2)
+
+
+def _from_delta(N, n, i, delta, legacy=False) -> IntervalResult:
+    N, n, i = _check_query(N, n, i)
+    delta = check_probability(delta, "delta")
+    g, (formula, _) = _link(N, n, legacy)
+    if g is None:
+        halfwidth = 0.0
+    else:
+        halfwidth = N * math.sqrt(-(math.log(delta) - _LN2) / (2 * n * g))
+    return _interval(N, n, i, halfwidth, delta, formula, legacy=legacy)
+
+
+def _from_halfwidth(N, n, i, c, legacy=False) -> IntervalResult:
+    N, n, i = _check_query(N, n, i)
+    c = check_positive(c, "c")
+    g, (_, formula) = _link(N, n, legacy)
+    # c * c / (N * N), not (c / N) ** 2: a float power raises
+    # OverflowError where this product overflows to inf (delta 0).
+    raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * c * c * n * g / (N * N))
+    vacuous = raw >= 1.0
+    return _interval(N, n, i, c, min(1.0, raw), formula, vacuous=vacuous, legacy=legacy)
+
+
 def halfwidth_for_confidence(N, n, i, delta) -> IntervalResult:
     """Smallest guaranteed half-width c for miscoverage delta.
 
     Uses C1 for n <= N/2 and C2 above; P[M in interval] >= 1 - delta.
     A census (n = N) yields c = 0: the estimate is M itself.
     """
-    N, n, i = _check_query(N, n, i)
-    delta = check_probability(delta, "delta")
-    log_half_delta = math.log(delta) - _LN2
-    if 2 * n <= N:
-        factor = (N - n + 1) / (2 * n * N)
-        formula = FORMULA_C1
-    else:
-        factor = ((N - n) * (n + 1)) / (2 * n * n * N)
-        formula = FORMULA_C2
-    halfwidth = N * math.sqrt(-factor * log_half_delta)
-    return _interval(N, n, i, halfwidth, delta, formula)
+    return _from_delta(N, n, i, delta)
 
 
 def confidence_for_halfwidth(N, n, i, c) -> IntervalResult:
@@ -136,38 +161,19 @@ def confidence_for_halfwidth(N, n, i, c) -> IntervalResult:
     reaches 1 the result is clamped and flagged vacuous.  A census
     (n = N) has miscoverage 0 for any positive c.
     """
-    N, n, i = _check_query(N, n, i)
-    c = check_positive(c, "c")
-    if 2 * n <= N:
-        exponent = -2.0 * c * c * n / (N * (N - n + 1))
-        formula = FORMULA_D1
-    elif n == N:
-        return _interval(N, n, i, c, 0.0, FORMULA_D2)
-    else:
-        exponent = -2.0 * c * c * n * n / (N * (N - n) * (n + 1))
-        formula = FORMULA_D2
-    raw = 2.0 * math.exp(exponent)
-    vacuous = raw >= 1.0
-    return _interval(N, n, i, c, min(1.0, raw), formula, vacuous=vacuous)
+    return _from_halfwidth(N, n, i, c)
 
 
 def b1_halfwidth_for_confidence(N, n, i, delta) -> IntervalResult:
     """Legacy half-width c' = N sqrt(-ln(delta/2) / (2n)), which ignores
     the finite-population factor.  For comparison output only."""
-    N, n, i = _check_query(N, n, i)
-    delta = check_probability(delta, "delta")
-    halfwidth = N * math.sqrt(-(math.log(delta) - _LN2) / (2 * n))
-    return _interval(N, n, i, halfwidth, delta, FORMULA_B1, legacy=True)
+    return _from_delta(N, n, i, delta, legacy=True)
 
 
 def b1_confidence_for_halfwidth(N, n, i, c) -> IntervalResult:
     """Legacy miscoverage delta' = 2 exp(-2 c^2 n / N^2).  For
     comparison output only."""
-    N, n, i = _check_query(N, n, i)
-    c = check_positive(c, "c")
-    raw = 2.0 * math.exp(-2.0 * c * c * n / (N * N))
-    vacuous = raw >= 1.0
-    return _interval(N, n, i, c, min(1.0, raw), FORMULA_B1, vacuous=vacuous, legacy=True)
+    return _from_halfwidth(N, n, i, c, legacy=True)
 
 
 @dataclass(frozen=True)
@@ -190,9 +196,7 @@ class SampleSizeResult:
 
 
 def _plan_inputs(N, delta, c):
-    N = as_int(N, "N")
-    if N < 1:
-        raise DomainError(f"N must satisfy N >= 1, got {N}")
+    N = check_range(N, "N", 1)
     delta = check_probability(delta, "delta")
     c = check_positive(c, "c")
     if c >= N:
@@ -200,7 +204,9 @@ def _plan_inputs(N, delta, c):
             f"c must satisfy c < N = {N}, got {c}; the interval already "
             "covers every possible M, so n = 0 samples suffice"
         )
-    x = (N / c) ** 2
+    # A product, not a power: x may overflow to inf, which _size_ratio
+    # takes as a census.
+    x = (N / c) * (N / c)
     y = -0.5 * (math.log(delta) - _LN2)
     return N, c, x, y
 

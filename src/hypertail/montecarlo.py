@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._validation import as_int, check_probability, check_positive, check_range
+from ._validation import check_probability, check_positive, check_range
 from .errors import DomainError
 from .exact import Population
 from .inference import halfwidth_for_confidence
@@ -36,9 +37,7 @@ class SimulationConfig:
         object.__setattr__(self, "N", pop.N)
         object.__setattr__(self, "M", pop.require_positives())
         object.__setattr__(self, "n", check_range(self.n, "n", 0, pop.N))
-        object.__setattr__(self, "trials", as_int(self.trials, "trials"))
-        if self.trials < 1:
-            raise DomainError(f"trials must satisfy trials >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", check_range(self.trials, "trials", 1))
         object.__setattr__(self, "seed", check_range(self.seed, "seed", 0, 2**64 - 1))
 
 
@@ -104,7 +103,7 @@ def coverage_experiment(
     no rounding).  Exceedance compares |i N - n M| against t n N in
     exact arithmetic so boundary outcomes are counted.
     """
-    deltas = [delta] if isinstance(delta, (int, float)) else list(delta)
+    deltas = [delta] if isinstance(delta, Real) else list(delta)
     deltas = [check_probability(d, "delta") for d in deltas]
     deviations = [check_positive(t, "t") for t in deviations]
     config = SimulationConfig(N, M, n, trials, seed)

@@ -67,6 +67,18 @@ class TestKlBound:
         res = kl_upper_tail_bound((10, 7), 5, 0.3)
         assert res.value == pytest.approx(0.7**5, rel=1e-12)
 
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_boundary_is_decided_exactly_beyond_double_precision(self, shift):
+        # N > 2^53, so M/N rounds alike for the three M below; only exact
+        # arithmetic sees p + t fall short of, hit, or pass 1.
+        N = 2**60
+        M = 3 * N // 4 + shift
+        res = kl_upper_tail_bound((N, M), 4, 0.25)
+        if shift > 0:
+            assert res.value == 0.0
+        else:
+            assert res.value == pytest.approx(0.75**4, rel=1e-12)
+
     def test_requires_known_positive_count(self):
         with pytest.raises(UnsupportedBoundError):
             kl_upper_tail_bound((10,), 5, 0.1)

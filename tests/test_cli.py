@@ -9,6 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from hypertail import BoundFamily, concentration_bound, tail_bound
 from hypertail.cli import run
 
 SCHEMA = json.loads(
@@ -266,6 +267,34 @@ class TestSubcommandResults:
         )
         assert record["results"]["value"] == "1"
         assert any("vacuous" in w for w in record["warnings"])
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    @pytest.mark.parametrize("samples", [5, 8, 10])
+    @pytest.mark.parametrize("family", ["kl", "b1", "b2", "b3", "b4", "auto"])
+    def test_bound_calls_the_library(self, capsys, family, samples, two_sided):
+        argv = [
+            "bound",
+            "--population", "10", "--positives", "7",
+            "--samples", str(samples), "--deviation", "1.5",
+            "--family", family, "--digits", "17",
+        ] + (["--two-sided"] if two_sided else [])
+        if family in ("b3", "b4") and samples == 10:
+            assert run(argv) == 2
+            assert "n < N" in capsys.readouterr().err
+            return
+        record = run_json(capsys, argv)
+        bound = concentration_bound if two_sided else tail_bound
+        res = bound(10, samples, 1.5 / samples, BoundFamily(family), M=7)
+        assert record["results"]["value"] == f"{res.value:.17g}"
+        assert record["results"]["exponent"] == f"{res.exponent:.17g}"
+        assert record["labels"]["family"] == res.family_used.value
+
+    def test_samplesize_survives_overflowing_scale(self, capsys):
+        record = run_json(
+            capsys,
+            ["samplesize", "--population", "10", "--delta", "0.05", "--halfwidth", "1e-300"],
+        )
+        assert record["results"]["n_required"] == "10"
 
     def test_ci_compare_includes_legacy_interval(self, capsys):
         record = run_json(

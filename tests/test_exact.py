@@ -11,7 +11,6 @@ from hypertail import (
     ExactProb,
     Population,
     RATIONAL_LIMIT,
-    SampleOutcome,
     as_population,
     flip_symmetry,
     lower_tail,
@@ -275,13 +274,3 @@ class TestValidation:
     def test_unknown_positives_rejected(self):
         with pytest.raises(DomainError):
             pmf(Population(10), 5, 3)
-
-    def test_sample_outcome_invariants(self):
-        outcome = SampleOutcome(5, 3)
-        outcome.check_against(Population(10, 7))
-        with pytest.raises(DomainError):
-            SampleOutcome(5, 6)
-        with pytest.raises(DomainError):
-            SampleOutcome(-1, 0)
-        with pytest.raises(DomainError):
-            SampleOutcome(11, 3).check_against(Population(10, 7))

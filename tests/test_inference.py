@@ -191,6 +191,13 @@ class TestSampleSizePlanning:
         res = required_sample_size(1000, 0.05, 1e-150)
         assert res.n_required == 1000
 
+    def test_overflowing_scale_demands_census(self):
+        # (N/c)^2 overflows a double; the plan must still be a census.
+        res = required_sample_size(10, 0.05, 1e-300)
+        assert res.x == math.inf
+        assert res.n_required == 10
+        assert sample_size_lower_estimate(10, 0.05, 1e-300) == 10
+
     def test_regimes_agree_on_their_shared_boundary(self):
         # c = sqrt(y (N + 2)) makes N sit exactly on the regime
         # boundary, where both closed forms solve to n = N/2.

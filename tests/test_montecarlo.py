@@ -104,6 +104,10 @@ class TestCoverage:
         report = coverage_experiment(10, 7, 5, 0.05, trials=2000, seed=SEED)
         assert report.empirical_coverage[0.05] == 1.0
 
+    def test_rational_delta_is_one_delta(self):
+        rational = coverage_experiment(10, 7, 5, Fraction(1, 20), 100, 1)
+        assert rational == coverage_experiment(10, 7, 5, 0.05, 100, 1)
+
     def test_census_coverage_is_exact(self):
         report = coverage_experiment(10, 7, 10, 0.5, trials=200, seed=2)
         assert report.empirical_coverage[0.5] == 1.0
