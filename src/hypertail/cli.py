@@ -10,7 +10,8 @@ records validate against schemas/output_record.schema.json.
 Half-widths (--halfwidth) are absolute counts of population
 individuals; --halfwidth-percent converts a percentage of N instead.
 Deviations (--deviation) are absolute counts of sampled individuals, so
-the bound subcommand's deviation fraction is t = deviation / samples.
+the bound subcommand's deviation fraction is t = deviation / samples;
+deviation and simulate read them as exact decimals ("0.1" is 1/10).
 
 Exit codes: 0 on success, 2 on a domain or usage error with a
 diagnostic naming the violated constraint.
@@ -22,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -85,6 +87,16 @@ def _echo(args, *names) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
+def _decimal(text: str) -> Fraction:
+    """A finite decimal read exactly: "0.1" is 1/10, not the float above it."""
+    try:
+        if math.isfinite(float(text)):
+            return Fraction(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}")
+
+
 def _resolve_halfwidth(args) -> float:
     if args.halfwidth is not None:
         return args.halfwidth
@@ -123,6 +135,7 @@ def _cmd_deviation(args, digits):
     )
     results, labels = _prob_results(res, digits)
     inputs = _echo(args, "population", "positives", "samples", "deviation", "mode")
+    inputs["deviation"] = float(args.deviation)
     return _record("deviation", inputs, results, labels, [], digits)
 
 
@@ -216,29 +229,39 @@ def _cmd_samplesize(args, digits):
     return _record("samplesize", inputs, results, labels, [], digits)
 
 
+def _named(values, flag) -> dict:
+    """Repeatable --flag values by their `:g` names, which must differ."""
+    values = values or []
+    named = {f"{float(v):g}": v for v in values}
+    if len(named) < len(values):
+        raise DomainError(f"--{flag} values must differ in 6 significant digits")
+    return named
+
+
 def _cmd_simulate(args, digits):
-    deltas = args.delta or []
-    deviations = args.deviation or []
+    deltas = _named(args.delta, "delta")
+    deviations = _named(args.deviation, "deviation")
     check_range(args.samples, "samples", 1)
-    fractions = [d / args.samples for d in deviations]
+    fractions = {name: d / args.samples for name, d in deviations.items()}
     report = montecarlo.coverage_experiment(
         args.population,
         args.positives,
         args.samples,
-        deltas,
+        list(deltas.values()),
         args.trials,
         args.seed,
-        deviations=fractions,
+        deviations=list(fractions.values()),
     )
     results = {}
     for i, freq in sorted(report.empirical_pmf.items()):
         results[f"frequency_{i}"] = _fmt(freq, digits)
-    for d, coverage in zip(deltas, report.empirical_coverage.values()):
-        results[f"coverage_{d:g}"] = _fmt(coverage, digits)
-    for d, exceed in zip(deviations, report.tail_exceedance.values()):
-        results[f"exceedance_{d:g}"] = _fmt(exceed, digits)
+    for name, d in deltas.items():
+        results[f"coverage_{name}"] = _fmt(report.empirical_coverage[d], digits)
+    for name, t in fractions.items():
+        results[f"exceedance_{name}"] = _fmt(report.tail_exceedance[t], digits)
     inputs = _echo(args, "population", "positives", "samples", "trials", "seed")
-    inputs.update(delta=deltas, deviation=deviations)
+    inputs["delta"] = list(deltas.values())
+    inputs["deviation"] = [float(d) for d in deviations.values()]
     return _record("simulate", inputs, results, {}, [], digits)
 
 
@@ -384,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True, help="sample size n")
     p.add_argument(
         "--deviation",
-        type=float,
+        type=_decimal,
         required=True,
         help="absolute deviation c from the mean, in sampled individuals",
     )
@@ -462,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--deviation",
-        type=float,
+        type=_decimal,
         action="append",
         help="deviation in sampled individuals to tally exceedance for (repeatable)",
     )

@@ -10,11 +10,15 @@ with the convention C(x, y) = 0 for y > x or y < 0.
 
 Every probability is produced in two forms at once: an arbitrary
 precision rational (`fractions.Fraction`) and its natural logarithm.
-The rational form is exact but the binomial coefficients grow too large
-to be practical past N of about a million, so each operation also has a
-log-gamma evaluation path that works at any scale.  `mode="auto"`
-(the default) picks rationals for N <= RATIONAL_LIMIT and log-space
-above that; `mode="rational"` and `mode="log"` force one path.
+`mode="auto"` (the default) picks rationals for N <= RATIONAL_LIMIT and
+log-space above that; `mode="rational"` and `mode="log"` force one path.
+
+A tail P[i >= k] (a lower tail is an upper tail of the flipped
+population) is one walk of h(i + 1) = h(i) r(i) from k away from the
+mode, or the complement of the other tail when k is on the rising side,
+k (N + 2) < (n + 1)(M + 1).  The rational walk sums exact integers; the
+log walk sums floats relative to h(k) and stops once the rest, at most
+term * r / (1 - r) as r falls past the mode, is below 2**-60 of the sum.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from .errors import DomainError
 RATIONAL_LIMIT = 1_000_000
 
 _MODES = ("auto", "rational", "log")
+
+#: The log-path tail walk stops once the terms left are provably below
+#: this fraction of the running total.
+_TRUNCATION = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,6 @@ def _resolve_rational(pop: Population, mode: str) -> bool:
     return mode == "rational"
 
 
-def _comb(x: int, y: int) -> int:
-    if y < 0 or y > x:
-        return 0
-    return math.comb(x, y)
-
-
 def _support(N: int, M: int, n: int) -> tuple[int, int]:
     return max(0, n - (N - M)), min(n, M)
 
@@ -162,54 +164,32 @@ def _log_pmf(N: int, M: int, n: int, i: int) -> float:
     return math.fsum(terms())
 
 
-def _log_tail_sum(N, M, n, anchor, last, step, ratio) -> float:
-    """log of sum_{i} pmf from `anchor` to `last` inclusive, stepping by
-    `step`, where ratio(i) = pmf(i + step)/pmf(i) exactly in reals.
-
-    The anchored term is computed once; the rest follow from the
-    recurrence, accumulated with running rescaling so intermediate
-    sums can neither overflow nor underflow.
-    """
-    base = _log_pmf(N, M, n, anchor)
-    total = 1.0
-    shift = 0.0
-    log_term = 0.0
-    i = anchor
-    while i != last:
-        log_term += math.log(ratio(i))
-        i += step
-        if log_term - shift > 300.0:
-            total = total * math.exp(shift - log_term) + 1.0
-            shift = log_term
-        else:
-            total += math.exp(log_term - shift)
-    return base + shift + math.log(total)
-
-
-def _log_lower_tail(N: int, M: int, n: int, k: int) -> float:
+def _tail(N: int, M: int, n: int, k: int, rational: bool) -> Fraction | float:
+    """P[i >= k] as a Fraction if `rational`, else its natural log, with
+    r(i) = h(i + 1) / h(i) = (M - i)(n - i) / ((i + 1)(N - M - n + i + 1))."""
     lo, hi = _support(N, M, n)
-    if k < lo:
-        return float("-inf")
-    if k >= hi:
-        return 0.0
-
-    def ratio(i):  # pmf(i - 1) / pmf(i)
-        return (i * (N - M - n + i)) / ((M - i + 1) * (n - i + 1))
-
-    return min(0.0, _log_tail_sum(N, M, n, k, lo, -1, ratio))
-
-
-def _log_upper_tail(N: int, M: int, n: int, k: int) -> float:
-    lo, hi = _support(N, M, n)
-    if k > hi:
-        return float("-inf")
     if k <= lo:
-        return 0.0
-
-    def ratio(i):  # pmf(i + 1) / pmf(i)
-        return ((M - i) * (n - i)) / ((i + 1) * (N - M - n + i + 1))
-
-    return min(0.0, _log_tail_sum(N, M, n, k, hi, 1, ratio))
+        return Fraction(1) if rational else 0.0
+    if k > hi:
+        return Fraction(0) if rational else float("-inf")
+    if k * (N + 2) < (n + 1) * (M + 1):
+        # 1 - P[i <= k - 1]; the flipped threshold is on the falling side.
+        rest = _tail(N, N - M, n, n - k + 1, rational)
+        return 1 - rest if rational else math.log(-math.expm1(rest))
+    if rational:
+        term = total = math.comb(M, k) * math.comb(N - M, n - k)
+        for i in range(k, hi):
+            term = term * (M - i) * (n - i) // ((i + 1) * (N - M - n + i + 1))
+            total += term
+        return Fraction(total, math.comb(N, n))
+    term = total = 1.0
+    for i in range(k, hi):
+        r = (M - i) * (n - i) / ((i + 1) * (N - M - n + i + 1))
+        term *= r
+        total += term
+        if term * r < _TRUNCATION * total * (1 - r):
+            break
+    return _log_pmf(N, M, n, k) + math.log(total)
 
 
 def _log_add(a: float, b: float) -> float:
@@ -237,7 +217,7 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     pop, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
     if _resolve_rational(pop, mode):
-        numerator = _comb(M, i) * _comb(pop.N - M, n - i)
+        numerator = math.comb(M, i) * math.comb(pop.N - M, n - i)
         return ExactProb.from_rational(Fraction(numerator, math.comb(pop.N, n)))
     return ExactProb.from_log(_log_pmf(pop.N, M, n, i))
 
@@ -251,11 +231,9 @@ def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     """
     pop, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
-    hi = min(k, n)
     if _resolve_rational(pop, mode):
-        numerator = sum(_comb(M, i) * _comb(pop.N - M, n - i) for i in range(hi + 1))
-        return ExactProb.from_rational(Fraction(numerator, math.comb(pop.N, n)))
-    return ExactProb.from_log(_log_lower_tail(pop.N, M, n, hi))
+        return ExactProb.from_rational(_tail(pop.N, pop.N - M, n, n - min(k, n), True))
+    return ExactProb.from_log(_tail(pop.N, pop.N - M, n, n - min(k, n), False))
 
 
 def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
@@ -266,13 +244,9 @@ def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     """
     pop, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
-    lo = max(k, 0)
     if _resolve_rational(pop, mode):
-        numerator = sum(
-            _comb(M, i) * _comb(pop.N - M, n - i) for i in range(lo, n + 1)
-        )
-        return ExactProb.from_rational(Fraction(numerator, math.comb(pop.N, n)))
-    return ExactProb.from_log(_log_upper_tail(pop.N, M, n, lo))
+        return ExactProb.from_rational(_tail(pop.N, M, n, max(k, 0), True))
+    return ExactProb.from_log(_tail(pop.N, M, n, max(k, 0), False))
 
 
 def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:

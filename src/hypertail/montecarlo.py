@@ -48,8 +48,8 @@ class SimulationReport:
     empirical_pmf maps each observed i to its frequency (summing to 1);
     empirical_coverage maps each requested delta to the fraction of
     trials whose interval contained M; tail_exceedance maps each
-    requested deviation fraction t to the fraction of trials with
-    |i - nM/N| >= t n.
+    requested deviation fraction t, keyed by the t given, to the fraction
+    of trials with |i - nM/N| >= t n.
     """
 
     empirical_pmf: Mapping[int, float]
@@ -101,11 +101,12 @@ def coverage_experiment(
     Coverage counts a trial when M lies in the interval built from that
     trial's observed i via halfwidth_for_confidence (exact membership,
     no rounding).  Exceedance compares |i N - n M| against t n N in
-    exact arithmetic so boundary outcomes are counted.
+    exact arithmetic, with t as given, so boundary outcomes are counted.
     """
     deltas = [delta] if isinstance(delta, Real) else list(delta)
     deltas = [check_probability(d, "delta") for d in deltas]
-    deviations = [check_positive(t, "t") for t in deviations]
+    for t in deviations:
+        check_positive(t, "t")
     config = SimulationConfig(N, M, n, trials, seed)
     if config.n < 1:
         raise DomainError("n must satisfy n >= 1 to build intervals")

@@ -94,6 +94,26 @@ class TestExitCodes:
         )
         assert "M" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, values",
+        [("delta", ["0.2", "0.2", "0.001"]), ("deviation", ["2", "2.0000001"])],
+        ids=["repeated-delta", "colliding-deviation"],
+    )
+    def test_simulate_rejects_values_with_one_result_name(self, capsys, flag, values):
+        # Results are keyed coverage_{delta:g} / exceedance_{deviation:g};
+        # two values with one name would overwrite each other.
+        argv = [
+            "simulate",
+            "--population", "60", "--positives", "24", "--samples", "30",
+            "--trials", "200", "--seed", "1",
+        ]
+        for value in values:
+            argv += ["--" + flag, value]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--" + flag in err
+
 
 class TestFormats:
     def test_text_layout(self, capsys):
@@ -242,6 +262,20 @@ class TestSubcommandResults:
         )
         assert record["results"]["probability_exact"] == "1/6"
 
+    def test_deviation_reads_decimals_exactly(self, capsys):
+        # mean nM/N = 1/10, so c = 1/10 puts i = 0 exactly on the
+        # boundary: P = 1.  The float 0.1 lies above 1/10 and drops it.
+        record = run_json(
+            capsys,
+            [
+                "deviation",
+                "--population", "50", "--positives", "1",
+                "--samples", "5", "--deviation", "0.1",
+            ],
+        )
+        assert record["results"]["probability_exact"] == "1"
+        assert record["inputs"]["deviation"] == 0.1
+
     def test_bound_fraction_is_deviation_over_samples(self, capsys):
         record = run_json(
             capsys,
@@ -343,6 +377,19 @@ class TestSubcommandResults:
         assert results["x"] == "400"
         assert record["labels"]["regime"] == "S2"
         assert float(results["lower_estimate"]) <= float(results["n_real"])
+
+    def test_simulate_reads_decimals_exactly(self, capsys):
+        # As for deviation: every trial has |i - 1/10| >= 1/10.
+        record = run_json(
+            capsys,
+            [
+                "simulate",
+                "--population", "50", "--positives", "1", "--samples", "5",
+                "--trials", "2000", "--seed", "1", "--deviation", "0.1",
+            ],
+        )
+        assert record["results"]["exceedance_0.1"] == "1"
+        assert record["inputs"]["deviation"] == [0.1]
 
     def test_simulate_is_deterministic(self, capsys):
         argv = [

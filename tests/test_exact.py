@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,19 @@ class TestTails:
             total = lower_tail((N, M), n, k).value + upper_tail((N, M), n, k).value
             assert total == 1 + pmf((N, M), n, k).value
 
+    def test_rational_tail_beyond_the_binomial_sums(self):
+        # A sum of 20,001 comb products of ~10^5-bit integers did not
+        # finish in minutes.  P is about e^-2018, below the doubles, so
+        # the Fraction itself is compared with mpmath.
+        N, M, n, k = 10**5, 5 * 10**4, 5 * 10**4, 2 * 10**4
+        res = lower_tail((N, M), n, k)
+        assert res.is_exact
+        with mpmath.workdps(40):
+            ref = _mp_lower(N, M, n, k)
+            value = mpmath.mpf(res.value.numerator) / res.value.denominator
+            assert abs(value - ref) <= 1e-12 * ref
+            assert abs(res.log_value - mpmath.log(ref)) <= 1e-12 * -res.log_value
+
 
 class TestTwoSided:
     def test_known_values(self):
@@ -216,6 +230,103 @@ class TestLogSpace:
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
             pmf((10, 7), 5, 3, mode="fast")
+
+
+def _mp_log_pmf(N, M, n, i):
+    def log_comb(x, y):
+        return mpmath.loggamma(x + 1) - mpmath.loggamma(y + 1) - mpmath.loggamma(x - y + 1)
+
+    return log_comb(M, i) + log_comb(N - M, n - i) - log_comb(N, n)
+
+
+def _mp_walk(N, M, n, k, step):
+    """Sum of the pmf from k in direction `step` (+1 or -1) until the
+    terms fall below 10^-45 of the sum or leave the support."""
+    lo, hi = max(0, n - (N - M)), min(n, M)
+    if not lo <= k <= hi:
+        return mpmath.mpf(0)
+    term = total = mpmath.exp(_mp_log_pmf(N, M, n, k))
+    i = k
+    while lo <= i + step <= hi and term >= total * mpmath.mpf(10) ** -45:
+        if step > 0:
+            term *= mpmath.mpf((M - i) * (n - i)) / ((i + 1) * (N - M - n + i + 1))
+        else:
+            term *= mpmath.mpf(i * (N - M - n + i)) / ((M - i + 1) * (n - i + 1))
+        i += step
+        total += term
+    return total
+
+
+def _mp_lower(N, M, n, k):
+    """P[i <= k], summed away from the mean n M / N."""
+    if k * N >= n * M:
+        return 1 - _mp_walk(N, M, n, k + 1, 1)
+    return _mp_walk(N, M, n, k, -1)
+
+
+def _mp_upper(N, M, n, k):
+    """P[i >= k], summed away from the mean n M / N."""
+    if k * N <= n * M:
+        return 1 - _mp_walk(N, M, n, k - 1, -1)
+    return _mp_walk(N, M, n, k, 1)
+
+
+def _mp_two_sided(N, M, n, c):
+    mean, c = Fraction(n * M, N), Fraction(c)
+    return _mp_lower(N, M, n, math.floor(mean - c)) + _mp_upper(
+        N, M, n, math.ceil(mean + c)
+    )
+
+
+_SCALES = {
+    "N1e8": (10**8, 3 * 10**7, 10**4),  # mean 3,000, sd about 46
+    "poll": (17_793_691, 1_017_800, 10**5),  # mean about 5,720, sd about 73
+}
+
+
+class TestLogPathAgainstMpmath:
+    """The log path within 1e-12 relative of mpmath at 40 digits."""
+
+    @pytest.mark.parametrize(
+        "scale, call, arg",
+        [
+            ("N1e8", "pmf", 3000),
+            ("N1e8", "pmf", 2800),
+            ("N1e8", "lower", 2990),  # near the mean
+            ("N1e8", "upper", 3010),
+            ("N1e8", "lower", 2800),  # tails
+            ("N1e8", "upper", 3200),
+            ("N1e8", "lower", 3300),  # far side, P close to 1
+            ("N1e8", "upper", 2700),
+            ("N1e8", "upper", 1),  # P = 1 - 0.7^10^4
+            ("N1e8", "two", 1),
+            ("N1e8", "two", 150),
+            ("poll", "pmf", 5720),
+            ("poll", "lower", 5700),
+            ("poll", "upper", 5750),
+            ("poll", "lower", 5400),
+            ("poll", "upper", 6000),
+            ("poll", "upper", 5500),
+            ("poll", "lower", 99_999),  # P = 1 - pmf(n)
+            ("poll", "two", 0.5),
+            ("poll", "two", 200),
+        ],
+    )
+    def test_within_1e12_of_mpmath(self, scale, call, arg):
+        N, M, n = _SCALES[scale]
+        lib, ref = {
+            "pmf": (pmf, _mp_log_pmf),
+            "lower": (lower_tail, _mp_lower),
+            "upper": (upper_tail, _mp_upper),
+            "two": (two_sided_exact, _mp_two_sided),
+        }[call]
+        res = lib((N, M), n, arg, mode="log")
+        assert not res.is_exact
+        with mpmath.workdps(40):
+            expected = ref(N, M, n, arg)
+            if call == "pmf":
+                expected = mpmath.exp(expected)
+            assert abs(res.value - expected) <= 1e-12 * expected
 
 
 class TestExactProb:

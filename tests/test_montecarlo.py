@@ -143,6 +143,14 @@ class TestExceedance:
         frequency = report.tail_exceedance[0.25]
         assert abs(frequency - exact) <= 3 * binomial_se(exact, trials)
 
+    def test_rational_deviation_keeps_its_boundary(self):
+        # (50, 1, 5): nM/N = 1/10 and t = 1/50 gives |i - 1/10| >= 1/10,
+        # true for every outcome.  The float 0.02 lies above 1/50.
+        t = Fraction(1, 50)
+        report = coverage_experiment(50, 1, 5, 0.1, 2000, 1, deviations=[t])
+        assert report.tail_exceedance == {t: 1.0}
+        assert two_sided_exact((50, 1), 5, t * 5).value == 1
+
     def test_stays_below_concentration_bound(self):
         trials = 20000
         report = coverage_experiment(
