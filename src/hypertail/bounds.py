@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from ._validation import as_int, check_positive, check_range
 from .errors import DomainError, UnsupportedBoundError
@@ -70,9 +71,16 @@ def _clamped(exponent: float, family: BoundFamily, two_sided=False) -> BoundValu
 
 
 def _check_nt(N, n, t):
+    """Checked N, n and t; an int or Fraction t stays exact, so that the
+    KL boundary p + t = 1 is decided on the ratio the caller gave."""
     if N is not None:
         N = as_int(N, "N")
-    return N, check_range(n, "n", 1, N), check_positive(t, "t")
+    n = check_range(n, "n", 1, N)
+    # Floats are tested first: isinstance against Fraction, an abstract
+    # base class, would add half a microsecond to every float call.
+    if isinstance(t, float) or not (isinstance(t, (int, Fraction)) and t > 0):
+        t = check_positive(t, "t")
+    return N, n, t
 
 
 def _coefficient(family: BoundFamily, N, n: int) -> float:
@@ -97,9 +105,11 @@ def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:
     """exp(-n * D(p+t || p)), the Chernoff-style bound on P[i >= (p+t)n].
 
     Returns 0 when p + t > 1 (the event is impossible) or when p = 0
-    (no positives to draw).  At p + t = 1 the divergence term
-    (1-p-t) ln((1-p)/(1-p-t)) is taken at its limit 0, so the bound
-    degenerates to p^n.  Tighter than b1_tail wherever both apply.
+    (no positives to draw).  Where p + t is 1, or rounds to 1, the
+    divergence term (1-p-t) ln((1-p)/(1-p-t)) is taken at its limit 0,
+    so the bound degenerates to p^n, and a float t agrees with the
+    exact ratio it was read from.  Tighter than b1_tail wherever both
+    apply.
     """
     pop = as_population(pop)
     if pop.M is None:
@@ -116,8 +126,11 @@ def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:
     # Each quotient of integers below is rounded once.
     p = M / N
     shifted = (M * b + a * N) / (N * b)
-    if rest == 0:
-        exponent = n * shifted * math.log(p / shifted)
+    if shifted == 1.0:
+        # p^n, which the tail equals at n = 1: raised past the rounding
+        # error of p, the log and exp, so the float never undercuts it.
+        exponent = n * math.log(p)
+        exponent += 2.0**-51 * (n + 1 - exponent)
     else:
         remainder = rest / (N * b)
         exponent = n * (

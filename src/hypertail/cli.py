@@ -9,9 +9,9 @@ records validate against schemas/output_record.schema.json.
 
 Half-widths (--halfwidth) are absolute counts of population
 individuals; --halfwidth-percent converts a percentage of N instead.
-Deviations (--deviation) are absolute counts of sampled individuals, so
-the bound subcommand's deviation fraction is t = deviation / samples;
-deviation and simulate read them as exact decimals ("0.1" is 1/10).
+Deviations (--deviation) are absolute counts of sampled individuals,
+read as exact decimals ("0.1" is 1/10), so the bound subcommand's
+deviation fraction t = deviation / samples is an exact ratio.
 
 Exit codes: 0 on success, 2 on a domain or usage error with a
 diagnostic naming the violated constraint.
@@ -160,6 +160,7 @@ def _cmd_bound(args, digits):
     inputs = _echo(
         args, "population", "positives", "samples", "deviation", "family", "two_sided"
     )
+    inputs["deviation"] = float(args.deviation)
     return _record("bound", inputs, results, labels, warnings, digits)
 
 
@@ -422,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True, help="sample size n")
     p.add_argument(
         "--deviation",
-        type=float,
+        type=_decimal,
         required=True,
         help="deviation in sampled individuals; the fraction is deviation/samples",
     )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from hypertail import (
     BoundFamily,
     BoundValue,
@@ -25,6 +26,7 @@ from hypertail import (
     best_bound,
     concentration_bound,
     kl_upper_tail_bound,
+    tail_bound,
     two_sided_exact,
 )
 
@@ -317,3 +319,50 @@ class TestValidation:
             assert not res.two_sided
             assert res.exponent <= 0.0
             assert res.value == min(1.0, math.exp(res.exponent))
+
+
+class TestRationalDeviation:
+    def test_kl_at_the_typed_ratio(self):
+        # p + t = 4/5 + 1/5 = 1: the event i >= 10 has probability
+        # 15149909/159277783, about 0.0951, and the bound is 0.8^10.
+        res = kl_upper_tail_bound((100, 80), 10, Fraction(1, 5))
+        assert res.value == pytest.approx(0.8**10, rel=1e-12)
+        assert res.value >= Fraction(15149909, 159277783)
+
+    def test_every_bound_dominates_the_tail_at_its_own_ratio(self):
+        # Every N <= 40, M and n, with t = a/n and t = (N - M)/N kept as
+        # Fractions: the event i >= (p + t) n starts at k = ceil(nM/N) + a,
+        # or at n, and every bound must lie above its probability, compared
+        # as rationals.  The closed forms do not depend on M, so their
+        # smallest value is taken once per t.
+        violations = []
+        for N in range(1, 41):
+            for n in range(1, N + 1):
+                denom = math.comb(N, n)
+                ratios = [Fraction(a, n) for a in range(1, n + 1)]
+                closed = [min((v, name) for name, v in _closed_forms(N, n, t)) for t in ratios]
+                for M in range(N + 1):
+                    tails = [0] * (n + 2)  # numerators of P[i >= k]
+                    for k, w in reversed(list(enumerate(oracles.weights(N, M, n)))):
+                        tails[k] = tails[k + 1] + w
+                    start = -(-M * n // N)
+                    cases = [(t, start + a, c) for a, t, c in zip(range(1, n + 1), ratios, closed)]
+                    if M < N:
+                        t = Fraction(N - M, N)
+                        cases.append((t, n, min((v, name) for name, v in _closed_forms(N, n, t))))
+                    for t, k, least in cases:
+                        kl = (kl_upper_tail_bound((N, M), n, t).value, "kl")
+                        for value, name in (least, kl):
+                            vn, vd = value.as_integer_ratio()
+                            if tails[min(k, n + 1)] * vd > vn * denom:
+                                violations.append((N, M, n, t, name))
+        assert not violations, f"{len(violations)} violations, first: {violations[:5]}"
+
+
+def _closed_forms(N, n, t):
+    yield "b1", b1_tail(n, t).value
+    yield "b2", b2_tail(N, n, t).value
+    yield "auto", tail_bound(N, n, t).value
+    if n < N:
+        yield "b3", b3_tail(N, n, t).value
+        yield "b4", b4_tail(N, n, t).value

@@ -290,6 +290,23 @@ class TestSubcommandResults:
         assert record["labels"]["family"] == "b2"
         assert record["labels"]["two_sided"] == "true"
 
+    def test_bound_kl_reads_the_deviation_exactly(self, capsys):
+        # t = 2/10 puts p + t at exactly 1: the event i >= 10 has
+        # probability 15149909/159277783, about 0.0951, and KL gives
+        # 0.8^10.  The float 2.0 / 10 lies above 1/5 and gave 0.
+        record = run_json(
+            capsys,
+            [
+                "bound",
+                "--population", "100", "--positives", "80",
+                "--samples", "10", "--deviation", "2", "--family", "kl",
+                "--digits", "17",
+            ],
+        )
+        assert float(record["results"]["value"]) >= 15149909 / 159277783
+        assert float(record["results"]["value"]) == pytest.approx(0.8**10, rel=1e-12)
+        assert record["inputs"]["deviation"] == 2.0
+
     def test_bound_vacuous_warning(self, capsys):
         record = run_json(
             capsys,

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -281,6 +283,7 @@ def _mp_two_sided(N, M, n, c):
 _SCALES = {
     "N1e8": (10**8, 3 * 10**7, 10**4),  # mean 3,000, sd about 46
     "poll": (17_793_691, 1_017_800, 10**5),  # mean about 5,720, sd about 73
+    "N1e8-n1e6": (10**8, 3 * 10**7, 10**6),  # mean 300,000, sd about 456
 }
 
 
@@ -310,6 +313,16 @@ class TestLogPathAgainstMpmath:
             ("poll", "lower", 99_999),  # P = 1 - pmf(n)
             ("poll", "two", 0.5),
             ("poll", "two", 200),
+            ("N1e8-n1e6", "pmf", 300_000),
+            ("N1e8-n1e6", "pmf", 298_000),
+            ("N1e8-n1e6", "lower", 299_900),  # near the mean
+            ("N1e8-n1e6", "upper", 300_100),
+            ("N1e8-n1e6", "lower", 298_500),  # tails
+            ("N1e8-n1e6", "upper", 301_600),
+            ("N1e8-n1e6", "lower", 302_800),  # far side, P close to 1
+            ("N1e8-n1e6", "upper", 297_300),
+            ("N1e8-n1e6", "two", 0.5),
+            ("N1e8-n1e6", "two", 1_400),
         ],
     )
     def test_within_1e12_of_mpmath(self, scale, call, arg):
@@ -327,6 +340,92 @@ class TestLogPathAgainstMpmath:
             if call == "pmf":
                 expected = mpmath.exp(expected)
             assert abs(res.value - expected) <= 1e-12 * expected
+
+
+class TestLogPmfSweep:
+    def test_seeded_sweep_against_mpmath(self):
+        # Random N up to 10^8 with M and n at the ends of their ranges or
+        # anywhere inside, and i at the support ends, near the mode or
+        # where the log pmf crosses a target down to -700.  A log pmf
+        # below the doubles, -745, is checked relative to itself.
+        rng = random.Random(20240506)
+        worst = 0.0
+        for _ in range(2000):
+            N = int(10 ** rng.uniform(0, 8))
+            M, n = (
+                rng.choice([0, N, rng.randint(0, min(N, 3)), N - rng.randint(0, min(N, 3)),
+                            rng.randint(0, N)])
+                for _ in range(2)
+            )
+            lo, hi = max(0, n - (N - M)), min(n, M)
+            mode = min(max((n + 1) * (M + 1) // (N + 2), lo), hi)
+            with mpmath.workdps(40):
+                ref = functools.partial(_mp_log_pmf, N, M, n)
+                i = rng.choice([
+                    lo, hi, mode, lo - 1, hi + 1,
+                    _crossing(ref, mode, rng.choice([lo, hi]), -rng.uniform(0, 700)),
+                ])
+                res = pmf((N, M), n, i, mode="log") if 0 <= i <= n else None
+                if res is None:
+                    continue
+                if not lo <= i <= hi:
+                    assert res.value == 0 and res.log_value == float("-inf")
+                    continue
+                expected = ref(i)
+                err = float(abs(res.log_value - expected))
+            if expected >= -745:
+                # Relative error of a pmf that the doubles can hold.
+                worst = max(worst, err)
+                assert err <= 1e-12, (N, M, n, i, err)
+            else:
+                assert err <= 1e-14 * -float(expected), (N, M, n, i, err)
+        assert worst > 0  # the sweep reached cases that round
+
+
+def _crossing(log_pmf, start, end, target):
+    """The last i from start toward end with log_pmf(i) >= target: the
+    pmf falls monotonically away from the mode."""
+    if log_pmf(end) >= target:
+        return end
+    good, bad = start, end
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if log_pmf(mid) >= target else (good, mid)
+    return good
+
+
+class TestAutoPrice:
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            # About 20 s on the rational path: 5*10^4 terms of a
+            # 469,000-bit walk.
+            ("lower", ((10**6, 5 * 10**5), 10**5, 5 * 10**4)),
+            # Minutes on the rational path: 2.5*10^5 terms of 10^6 bits.
+            ("lower", ((10**6, 5 * 10**5), 5 * 10**5, 25 * 10**4)),
+            # A pmf at the mode with three 10^6-bit binomials, about 20 s.
+            ("pmf", ((10**6, 5 * 10**5), 5 * 10**5, 25 * 10**4)),
+        ],
+    )
+    def test_slow_rational_cases_take_the_log_path(self, call, args):
+        lib, ref = {"pmf": (pmf, _mp_log_pmf), "lower": (lower_tail, _mp_lower)}[call]
+        res = lib(*args)
+        assert not res.is_exact
+        (N, M), n, k = args
+        with mpmath.workdps(40):
+            expected = ref(N, M, n, k)
+            if call == "pmf":
+                expected = mpmath.exp(expected)
+            assert abs(res.value - expected) <= 1e-12 * expected
+
+    def test_benchmark_grid_sizes_stay_rational(self):
+        # pmf and tails at N = 10^4, n = 300, the largest rational
+        # points of the benchmark grid.
+        for k in range(0, 301, 10):
+            assert pmf((10**4, 4000), 300, k).is_exact
+            assert lower_tail((10**4, 4000), 300, k).is_exact
+            assert upper_tail((10**4, 4000), 300, k).is_exact
+        assert two_sided_exact((10**4, 4000), 300, 30.5).is_exact
 
 
 class TestExactProb:
