@@ -13,7 +13,9 @@ precision rational (`fractions.Fraction`) and its natural logarithm.
 `mode="rational"` and `mode="log"` force one path; `mode="auto"` (the
 default) takes the rational one when N <= RATIONAL_LIMIT and its price,
 the bit-length of C(N, n) times (the terms walked + bits / 16 for the
-binomial coefficients), is within RATIONAL_BUDGET.
+binomial coefficients), is within RATIONAL_BUDGET.  A two-sided
+probability pays for both of its walks at once, and a tail of 0 or 1
+costs nothing.
 
 A tail P[i >= k] (a lower tail is an upper tail of the flipped
 population) is one walk of h(i + 1) = h(i) r(i) from k away from the
@@ -140,8 +142,9 @@ def as_population(pop) -> Population:
     return Population(pop)
 
 
-def _resolve_rational(N: int, n: int, terms: int, mode: str) -> bool:
-    """Whether to evaluate in rationals; "auto" prices the walk first."""
+def _resolve_rational(N: int, n: int, walks, mode: str) -> bool:
+    """Whether to evaluate in rationals; "auto" prices the walks first.
+    An empty walk (a tail of 0 or 1) costs nothing."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode != "auto":
@@ -149,7 +152,7 @@ def _resolve_rational(N: int, n: int, terms: int, mode: str) -> bool:
     if N > RATIONAL_LIMIT:
         return False
     bits = (math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)) / math.log(2)
-    return bits * (terms + bits / 16) <= RATIONAL_BUDGET
+    return sum(bits * (terms + bits / 16) for terms in walks if terms) <= RATIONAL_BUDGET
 
 
 def _support(N: int, M: int, n: int) -> tuple[int, int]:
@@ -215,29 +218,36 @@ def _log_pmf(N: int, M: int, n: int, i: int) -> float:
     return total
 
 
-def _tail(N: int, M: int, n: int, k: int, mode: str) -> ExactProb:
-    """P[i >= k], walking r(i) = h(i + 1) / h(i)
-    = (M - i)(n - i) / ((i + 1)(N - M - n + i + 1))."""
+def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
+    """P[i >= k] as (flip, M, k, terms): the sum of h over the `terms`
+    outcomes from k on, with M positives, or 1 minus it when flip.  The
+    walk starts on the falling side; an empty one leaves 0 or 1."""
     lo, hi = _support(N, M, n)
     if not lo < k <= hi:
-        value = Fraction(int(k <= lo))
-        if _resolve_rational(N, n, 0, mode):
-            return ExactProb.from_rational(value)
-        return ExactProb.from_log(0.0 if value else float("-inf"))
-    flip = k * (N + 2) < (n + 1) * (M + 1)
-    if flip:
+        return k <= lo, M, k, 0
+    if k * (N + 2) < (n + 1) * (M + 1):
         # 1 - P[i <= k - 1]; the flipped threshold is on the falling side.
-        M, k = N - M, n - k + 1
-        hi = min(n, M)
-    if _resolve_rational(N, n, hi - k + 1, mode):
+        return True, N - M, n - k + 1, min(n, N - M) - (n - k)
+    return False, M, k, hi - k + 1
+
+
+def _sum_walk(N: int, n: int, walk, rational: bool) -> ExactProb:
+    """A tail from its walk, walking r(i) = h(i + 1) / h(i)
+    = (M - i)(n - i) / ((i + 1)(N - M - n + i + 1))."""
+    flip, M, k, terms = walk
+    if not terms:
+        if rational:
+            return ExactProb.from_rational(Fraction(int(flip)))
+        return ExactProb.from_log(0.0 if flip else float("-inf"))
+    if rational:
         term = total = math.comb(M, k) * math.comb(N - M, n - k)
-        for i in range(k, hi):
+        for i in range(k, k + terms - 1):
             term = term * (M - i) * (n - i) // ((i + 1) * (N - M - n + i + 1))
             total += term
         value = Fraction(total, math.comb(N, n))
         return ExactProb.from_rational(1 - value if flip else value)
     term = total = 1.0
-    for i in range(k, hi):
+    for i in range(k, k + terms - 1):
         r = (M - i) * (n - i) / ((i + 1) * (N - M - n + i + 1))
         term *= r
         total += term
@@ -245,6 +255,12 @@ def _tail(N: int, M: int, n: int, k: int, mode: str) -> ExactProb:
             break
     log_value = _log_pmf(N, M, n, k) + math.log(total)
     return ExactProb.from_log(math.log(-math.expm1(log_value)) if flip else log_value)
+
+
+def _tail(N: int, M: int, n: int, k: int, mode: str) -> ExactProb:
+    """P[i >= k], priced by the length of its walk."""
+    walk = _walk(N, M, n, k)
+    return _sum_walk(N, n, walk, _resolve_rational(N, n, (walk[3],), mode))
 
 
 def _log_add(a: float, b: float) -> float:
@@ -271,7 +287,7 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     """
     pop, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
-    if _resolve_rational(pop.N, n, 1, mode):
+    if _resolve_rational(pop.N, n, (1,), mode):
         numerator = math.comb(M, i) * math.comb(pop.N - M, n - i)
         return ExactProb.from_rational(Fraction(numerator, math.comb(pop.N, n)))
     return ExactProb.from_log(_log_pmf(pop.N, M, n, i))
@@ -321,9 +337,12 @@ def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
     mean = Fraction(n * M, pop.N)
     k_lo = math.floor(mean - c_exact)
     k_hi = math.ceil(mean + c_exact)
-    low = lower_tail(pop, n, k_lo, mode=mode)
-    high = upper_tail(pop, n, k_hi, mode=mode)
-    if low.is_exact and high.is_exact:
+    # One price for both walks, so that "auto" takes one path for both.
+    N = pop.N
+    walks = (_walk(N, N - M, n, n - min(k_lo, n)), _walk(N, M, n, max(k_hi, 0)))
+    rational = _resolve_rational(N, n, [walk[3] for walk in walks], mode)
+    low, high = (_sum_walk(N, n, walk, rational) for walk in walks)
+    if rational:
         return ExactProb.from_rational(low.value + high.value)
     return ExactProb.from_log(_log_add(low.log_value, high.log_value))
 

@@ -418,6 +418,30 @@ class TestAutoPrice:
                 expected = mpmath.exp(expected)
             assert abs(res.value - expected) <= 1e-12 * expected
 
+    def test_certain_and_impossible_tails_stay_exact(self):
+        # No walk to price: these cost nothing on the rational path.
+        pop, n = (10**6, 5 * 10**5), 5 * 10**5
+        for res, value in [
+            (upper_tail(pop, n, 0), 1),
+            (lower_tail(pop, n, n), 1),
+            (upper_tail(pop, n, n + 1), 0),
+            (lower_tail(pop, n, -1), 0),
+            (two_sided_exact(pop, n, 10**6), 0),
+        ]:
+            assert res.is_exact and res.value == value
+
+    def test_two_sided_prices_both_walks_at_once(self):
+        # Each walk is about 9,850 terms of C(10^5, 5*10^4), 1.6*10^9
+        # alone but 3.2*10^9 together: one tail stays rational, and the
+        # two-sided probability takes the log path for both.
+        pop, n, c = (10**5, 2 * 10**4), 5 * 10**4, 150
+        assert upper_tail(pop, n, 10**4 + c).is_exact
+        res = two_sided_exact(pop, n, c)
+        assert not res.is_exact
+        with mpmath.workdps(40):
+            expected = _mp_two_sided(*pop, n, c)
+            assert abs(res.value - expected) <= 1e-12 * expected
+
     def test_benchmark_grid_sizes_stay_rational(self):
         # pmf and tails at N = 10^4, n = 300, the largest rational
         # points of the benchmark grid.
