@@ -33,6 +33,8 @@ def check_range(value, name: str, low, high=None) -> int:
 def check_real(value, name: str) -> float:
     try:
         value = float(value)
+    except OverflowError:  # a rational beyond the float range
+        value = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
     if math.isnan(value) or math.isinf(value):

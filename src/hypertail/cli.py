@@ -7,11 +7,18 @@ requested significant-digit precision (--digits), tags them with the
 formula or family that produced them, and lists any warnings.  JSON
 records validate against schemas/output_record.schema.json.
 
+Options are declared once: `_OPTIONS` holds each option's argparse
+settings, and `_COMMANDS` lists each subcommand's handler, help text
+and option names in the order its record echoes them.  The parser and
+the input echo are both built from that table.
+
 Half-widths (--halfwidth) are absolute counts of population
 individuals; --halfwidth-percent converts a percentage of N instead.
-Deviations (--deviation) are absolute counts of sampled individuals,
-read as exact decimals ("0.1" is 1/10), so the bound subcommand's
-deviation fraction t = deviation / samples is an exact ratio.
+Deviations (--deviation) are absolute counts of sampled individuals.
+Both are read as exact decimals ("0.1" is 1/10): the bound
+subcommand's deviation fraction t = deviation / samples is an exact
+ratio, and a percentage half-width percent * N / 100 is rounded to
+float once, inside the library.
 
 Exit codes: 0 on success, 2 on a domain or usage error with a
 diagnostic naming the violated constraint.
@@ -38,24 +45,9 @@ DEFAULT_DIGITS = 6
 
 
 def _fmt(value, digits: int) -> str:
-    if isinstance(value, Fraction):
-        value = float(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    return f"{value:.{digits}g}"
-
-
-def _record(command, inputs, results, labels, warnings, digits):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "labels": labels,
-        "warnings": warnings,
-        "digits": digits,
-    }
+    return f"{float(value):.{digits}g}"
 
 
 def _prob_results(res: exact.ExactProb, digits: int):
@@ -64,7 +56,7 @@ def _prob_results(res: exact.ExactProb, digits: int):
         results["probability_exact"] = str(res.value)
     results["log_probability"] = _fmt(res.log_value, digits)
     labels = {"mode": "rational" if res.is_exact else "log"}
-    return results, labels
+    return results, labels, []
 
 
 def _interval_results(r: inference.IntervalResult, digits: int, prefix: str = ""):
@@ -82,11 +74,6 @@ def _interval_results(r: inference.IntervalResult, digits: int, prefix: str = ""
     return results
 
 
-def _echo(args, *names) -> dict:
-    """The named arguments, in order: the record's echo of its inputs."""
-    return {name: getattr(args, name) for name in names}
-
-
 def _decimal(text: str) -> Fraction:
     """A finite decimal read exactly: "0.1" is 1/10, not the float above it."""
     try:
@@ -97,46 +84,32 @@ def _decimal(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}")
 
 
-def _resolve_halfwidth(args) -> float:
+def _halfwidth(args) -> Fraction:
     if args.halfwidth is not None:
         return args.halfwidth
-    return args.halfwidth_percent * args.population / 100.0
-
-
-def _halfwidth_inputs(args) -> dict:
-    if args.halfwidth is not None:
-        return {"halfwidth": args.halfwidth}
-    return {"halfwidth_percent": args.halfwidth_percent}
+    return args.halfwidth_percent * args.population / 100
 
 
 def _cmd_pmf(args, digits):
     res = exact.pmf(
         (args.population, args.positives), args.samples, args.observed, mode=args.mode
     )
-    results, labels = _prob_results(res, digits)
-    inputs = _echo(args, "population", "positives", "samples", "observed", "mode")
-    return _record("pmf", inputs, results, labels, [], digits)
+    return _prob_results(res, digits)
 
 
 def _cmd_tail(args, digits):
     op = exact.lower_tail if args.side == "lower" else exact.upper_tail
     res = op((args.population, args.positives), args.samples, args.threshold, mode=args.mode)
-    results, labels = _prob_results(res, digits)
+    results, labels, warnings = _prob_results(res, digits)
     labels["side"] = args.side
-    inputs = _echo(
-        args, "population", "positives", "samples", "threshold", "side", "mode"
-    )
-    return _record("tail", inputs, results, labels, [], digits)
+    return results, labels, warnings
 
 
 def _cmd_deviation(args, digits):
     res = exact.two_sided_exact(
         (args.population, args.positives), args.samples, args.deviation, mode=args.mode
     )
-    results, labels = _prob_results(res, digits)
-    inputs = _echo(args, "population", "positives", "samples", "deviation", "mode")
-    inputs["deviation"] = float(args.deviation)
-    return _record("deviation", inputs, results, labels, [], digits)
+    return _prob_results(res, digits)
 
 
 def _cmd_bound(args, digits):
@@ -157,11 +130,7 @@ def _cmd_bound(args, digits):
     warnings = []
     if res.value >= 1.0:
         warnings.append("bound is vacuous (clamped to 1)")
-    inputs = _echo(
-        args, "population", "positives", "samples", "deviation", "family", "two_sided"
-    )
-    inputs["deviation"] = float(args.deviation)
-    return _record("bound", inputs, results, labels, warnings, digits)
+    return results, labels, warnings
 
 
 def _clamp_warnings(r: inference.IntervalResult) -> list:
@@ -179,19 +148,17 @@ def _cmd_ci(args, digits):
     )
     results = _interval_results(r, digits)
     labels = {"formula": r.formula}
-    warnings = _clamp_warnings(r)
     if args.compare:
         legacy = inference.b1_halfwidth_for_confidence(
             args.population, args.samples, args.observed, args.delta
         )
         results.update(_interval_results(legacy, digits, prefix="legacy_"))
         labels["legacy_formula"] = legacy.formula
-    inputs = _echo(args, "population", "samples", "observed", "delta", "compare")
-    return _record("ci", inputs, results, labels, warnings, digits)
+    return results, labels, _clamp_warnings(r)
 
 
 def _cmd_confidence(args, digits):
-    c = _resolve_halfwidth(args)
+    c = _halfwidth(args)
     r = inference.confidence_for_halfwidth(
         args.population, args.samples, args.observed, c
     )
@@ -206,13 +173,11 @@ def _cmd_confidence(args, digits):
         labels["legacy_formula"] = legacy.formula
         if legacy.vacuous:
             warnings.append("legacy confidence bound is vacuous (delta clamped to 1)")
-    inputs = _echo(args, "population", "samples", "observed", "compare")
-    inputs.update(_halfwidth_inputs(args))
-    return _record("confidence", inputs, results, labels, warnings, digits)
+    return results, labels, warnings
 
 
 def _cmd_samplesize(args, digits):
-    c = _resolve_halfwidth(args)
+    c = _halfwidth(args)
     r = inference.required_sample_size(args.population, args.delta, c)
     estimate = inference.sample_size_lower_estimate(args.population, args.delta, c)
     results = {
@@ -224,10 +189,7 @@ def _cmd_samplesize(args, digits):
         "regime_boundary": _fmt(r.regime_boundary, digits),
         "lower_estimate": _fmt(estimate, digits),
     }
-    labels = {"regime": r.regime}
-    inputs = _echo(args, "population", "delta")
-    inputs.update(_halfwidth_inputs(args))
-    return _record("samplesize", inputs, results, labels, [], digits)
+    return results, {"regime": r.regime}, []
 
 
 def _named(values, flag) -> dict:
@@ -260,111 +222,103 @@ def _cmd_simulate(args, digits):
         results[f"coverage_{name}"] = _fmt(report.empirical_coverage[d], digits)
     for name, t in fractions.items():
         results[f"exceedance_{name}"] = _fmt(report.tail_exceedance[t], digits)
-    inputs = _echo(args, "population", "positives", "samples", "trials", "seed")
-    inputs["delta"] = list(deltas.values())
-    inputs["deviation"] = [float(d) for d in deviations.values()]
-    return _record("simulate", inputs, results, {}, [], digits)
+    return results, {}, []
 
 
-_HANDLERS = {
-    "pmf": _cmd_pmf,
-    "tail": _cmd_tail,
-    "deviation": _cmd_deviation,
-    "bound": _cmd_bound,
-    "ci": _cmd_ci,
-    "confidence": _cmd_confidence,
-    "samplesize": _cmd_samplesize,
-    "simulate": _cmd_simulate,
-}
-
-
-def _render_text(record) -> str:
-    lines = [f"command: {record['command']}"]
-    lines.append("inputs:")
-    for key, value in record["inputs"].items():
-        if isinstance(value, list):
-            value = ", ".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"  {key} = {value}")
-    lines.append("results:")
-    for key, value in record["results"].items():
-        lines.append(f"  {key} = {value}")
-    if record["labels"]:
-        lines.append("labels:")
-        for key, value in record["labels"].items():
-            lines.append(f"  {key} = {value}")
-    for warning in record["warnings"]:
-        lines.append(f"warning: {warning}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(record) -> str:
-    return json.dumps(record, indent=2) + "\n"
-
-
-def _render_csv(record) -> str:
-    header = ["command"]
-    row = [record["command"]]
-    for key, value in record["inputs"].items():
-        header.append(f"input.{key}")
-        if isinstance(value, list):
-            value = ";".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        row.append("" if value is None else str(value))
-    for key, value in record["results"].items():
-        header.append(f"result.{key}")
-        row.append(value)
-    for key, value in record["labels"].items():
-        header.append(f"label.{key}")
-        row.append(value)
-    header.append("warnings")
-    row.append("; ".join(record["warnings"]))
-    header.append("digits")
-    row.append(str(record["digits"]))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buffer.getvalue()
-
-
-_RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
-
-
-def _add_output_options(parser):
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=None,
-        help=f"output format (default: ${FORMAT_ENV_VAR} or text)",
-    )
-    parser.add_argument(
-        "--digits",
-        type=int,
-        default=DEFAULT_DIGITS,
-        help="significant digits for decimal output (default 6)",
-    )
-
-
-def _add_mode_option(parser):
-    parser.add_argument(
-        "--mode",
+# argparse settings per option.  An option without a default or an
+# action is required, unless its name is marked in _COMMANDS.
+_OPTIONS = {
+    "population": dict(type=int, help="population size N"),
+    "positives": dict(type=int, help="positive count M (bound: needed by kl only)"),
+    "samples": dict(type=int, help="sample size n"),
+    "observed": dict(type=int, help="observed positives i"),
+    "threshold": dict(type=int, help="tail threshold k"),
+    "side": dict(choices=("lower", "upper"), help="lower: P[i <= k]; upper: P[i >= k]"),
+    "deviation": dict(
+        type=_decimal,
+        help="absolute deviation from the mean, in sampled individuals "
+        "(bound: the fraction is deviation/samples)",
+    ),
+    "delta": dict(type=float, help="miscoverage in (0,1)"),
+    "halfwidth": dict(type=_decimal, help="interval half-width in population individuals"),
+    "halfwidth_percent": dict(type=_decimal, help="half-width as a percentage of N"),
+    "family": dict(
+        choices=[f.value for f in bounds.BoundFamily],
+        default="auto",
+        help="bound family (auto picks the tighter of b2/b4)",
+    ),
+    "two_sided": dict(action="store_true", help="bound the two-sided deviation probability"),
+    "compare": dict(action="store_true", help="also report the legacy B1 result"),
+    "trials": dict(type=int, default=10000, help="number of trials"),
+    "seed": dict(type=int, default=0, help="master seed"),
+    "mode": dict(
         choices=("auto", "rational", "log"),
         default="auto",
         help="arithmetic path: exact rationals, log-space, or size-based auto",
-    )
+    ),
+    "format": dict(
+        choices=FORMATS,
+        default=None,
+        help=f"output format (default: ${FORMAT_ENV_VAR} or text)",
+    ),
+    "digits": dict(
+        type=int,
+        default=DEFAULT_DIGITS,
+        help="significant digits for decimal output (default 6)",
+    ),
+}
+
+# Subcommand -> (handler, help, options in echo order).  "name?" is
+# optional, "name*" repeatable and "a|b" exactly one of a and b.  Every
+# subcommand also takes --format and --digits, which are not echoed.
+_COMMANDS = {
+    "pmf": (_cmd_pmf, "exact probability of observing i positives",
+            "population positives samples observed mode"),
+    "tail": (_cmd_tail, "exact lower or upper tail probability",
+             "population positives samples threshold side mode"),
+    "deviation": (_cmd_deviation, "exact probability of deviating from the expected count",
+                  "population positives samples deviation mode"),
+    "bound": (_cmd_bound, "closed-form tail bound",
+              "population positives? samples deviation family two_sided"),
+    "ci": (_cmd_ci, "confidence interval half-width for a given delta",
+           "population samples observed delta compare"),
+    "confidence": (_cmd_confidence, "guaranteed miscoverage delta for a given half-width",
+                   "population samples observed compare halfwidth|halfwidth_percent"),
+    "samplesize": (_cmd_samplesize, "smallest sample size meeting a half-width target",
+                   "population delta halfwidth|halfwidth_percent"),
+    "simulate": (_cmd_simulate,
+                 "seeded sampling experiment: frequencies, coverage, exceedance",
+                 "population positives samples trials seed delta* deviation*"),
+}
 
 
-def _add_halfwidth_options(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--halfwidth", type=float, help="interval half-width in population individuals"
-    )
-    group.add_argument(
-        "--halfwidth-percent", type=float, help="half-width as a percentage of N"
-    )
+def _echo(args) -> dict:
+    """The record's echo of its inputs: the command's options in table
+    order, decimals as floats, and only the either/or option given."""
+    inputs = {}
+    for spec in _COMMANDS[args.command][2].split():
+        for name in spec.rstrip("?*").split("|"):
+            value = getattr(args, name)
+            if spec.endswith("*"):
+                inputs[name] = [float(v) for v in value or []]
+            elif "|" not in spec or value is not None:
+                inputs[name] = float(value) if isinstance(value, Fraction) else value
+    return inputs
+
+
+def _add_option(parser, spec: str) -> None:
+    if "|" in spec:
+        group = parser.add_mutually_exclusive_group(required=True)
+        for name in spec.split("|"):
+            _add_option(group, name + "?")
+        return
+    name = spec.rstrip("?*")
+    kwargs = dict(_OPTIONS[name])
+    if spec.endswith("*"):
+        kwargs.update(action="append", help=kwargs["help"] + "; repeatable")
+    elif not spec.endswith("?"):
+        kwargs["required"] = "default" not in kwargs and "action" not in kwargs
+    parser.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,122 +331,52 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pmf", help="exact probability of observing i positives")
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument("--positives", type=int, required=True, help="positive count M")
-    p.add_argument("--samples", type=int, required=True, help="sample size n")
-    p.add_argument("--observed", type=int, required=True, help="observed positives i")
-    _add_mode_option(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("tail", help="exact lower or upper tail probability")
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument("--positives", type=int, required=True, help="positive count M")
-    p.add_argument("--samples", type=int, required=True, help="sample size n")
-    p.add_argument("--threshold", type=int, required=True, help="tail threshold k")
-    p.add_argument(
-        "--side",
-        choices=("lower", "upper"),
-        required=True,
-        help="lower: P[i <= k]; upper: P[i >= k]",
-    )
-    _add_mode_option(p)
-    _add_output_options(p)
-
-    p = sub.add_parser(
-        "deviation", help="exact probability of deviating from the expected count"
-    )
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument("--positives", type=int, required=True, help="positive count M")
-    p.add_argument("--samples", type=int, required=True, help="sample size n")
-    p.add_argument(
-        "--deviation",
-        type=_decimal,
-        required=True,
-        help="absolute deviation c from the mean, in sampled individuals",
-    )
-    _add_mode_option(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("bound", help="closed-form tail bound")
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument(
-        "--positives", type=int, default=None, help="positive count M (kl family only)"
-    )
-    p.add_argument("--samples", type=int, required=True, help="sample size n")
-    p.add_argument(
-        "--deviation",
-        type=_decimal,
-        required=True,
-        help="deviation in sampled individuals; the fraction is deviation/samples",
-    )
-    p.add_argument(
-        "--family",
-        choices=[f.value for f in bounds.BoundFamily],
-        default="auto",
-        help="bound family (auto picks the tighter of b2/b4)",
-    )
-    p.add_argument(
-        "--two-sided",
-        action="store_true",
-        help="bound the two-sided deviation probability",
-    )
-    _add_output_options(p)
-
-    p = sub.add_parser("ci", help="confidence interval half-width for a given delta")
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument("--samples", type=int, required=True, help="sample size n")
-    p.add_argument("--observed", type=int, required=True, help="observed positives i")
-    p.add_argument("--delta", type=float, required=True, help="miscoverage in (0,1)")
-    p.add_argument(
-        "--compare", action="store_true", help="also report the legacy B1 interval"
-    )
-    _add_output_options(p)
-
-    p = sub.add_parser(
-        "confidence", help="guaranteed miscoverage delta for a given half-width"
-    )
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument("--samples", type=int, required=True, help="sample size n")
-    p.add_argument("--observed", type=int, required=True, help="observed positives i")
-    _add_halfwidth_options(p)
-    p.add_argument(
-        "--compare", action="store_true", help="also report the legacy B1 delta"
-    )
-    _add_output_options(p)
-
-    p = sub.add_parser(
-        "samplesize", help="smallest sample size meeting a half-width target"
-    )
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument("--delta", type=float, required=True, help="miscoverage in (0,1)")
-    _add_halfwidth_options(p)
-    _add_output_options(p)
-
-    p = sub.add_parser(
-        "simulate", help="seeded sampling experiment: frequencies, coverage, exceedance"
-    )
-    p.add_argument("--population", type=int, required=True, help="population size N")
-    p.add_argument("--positives", type=int, required=True, help="positive count M")
-    p.add_argument("--samples", type=int, required=True, help="sample size n")
-    p.add_argument("--trials", type=int, default=10000, help="number of trials")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument(
-        "--delta",
-        type=float,
-        action="append",
-        help="miscoverage to check interval coverage for (repeatable)",
-    )
-    p.add_argument(
-        "--deviation",
-        type=_decimal,
-        action="append",
-        help="deviation in sampled individuals to tally exceedance for (repeatable)",
-    )
-    _add_output_options(p)
-
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for spec in names.split() + ["format", "digits"]:
+            _add_option(p, spec)
     return parser
+
+
+def _cell(value, sep: str) -> str:
+    """A record value as one cell: lists joined by sep, bools in lower case."""
+    if isinstance(value, list):
+        return sep.join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _render_text(record) -> str:
+    lines = [f"command: {record['command']}"]
+    for section in ("inputs", "results", "labels"):
+        if section != "labels" or record[section]:
+            lines.append(f"{section}:")
+            for key, value in record[section].items():
+                lines.append(f"  {key} = {_cell(value, ', ')}")
+    lines += [f"warning: {warning}" for warning in record["warnings"]]
+    return "\n".join(lines) + "\n"
+
+
+def _render_json(record) -> str:
+    return json.dumps(record, indent=2) + "\n"
+
+
+def _render_csv(record) -> str:
+    cells = {"command": record["command"]}
+    for section in ("inputs", "results", "labels"):
+        for key, value in record[section].items():
+            # "input.population", "result.probability", "label.mode", ...
+            cells[f"{section[:-1]}.{key}"] = "" if value is None else _cell(value, ";")
+    cells["warnings"] = "; ".join(record["warnings"])
+    cells["digits"] = str(record["digits"])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerows([cells.keys(), cells.values()])
+    return buffer.getvalue()
+
+
+_RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
 
 
 def run(argv=None) -> int:
@@ -516,10 +400,18 @@ def run(argv=None) -> int:
     try:
         if args.digits < 1 or args.digits > 17:
             raise DomainError(f"digits must lie in 1..17, got {args.digits}")
-        record = _HANDLERS[args.command](args, args.digits)
+        results, labels, warnings = _COMMANDS[args.command][0](args, args.digits)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    record = {
+        "command": args.command,
+        "inputs": _echo(args),
+        "results": results,
+        "labels": labels,
+        "warnings": warnings,
+        "digits": args.digits,
+    }
     sys.stdout.write(_RENDERERS[fmt](record))
     return 0
 

@@ -5,6 +5,9 @@ N with M positives and records the positive count i.  Trials are seeded
 independently from the master seed (one spawned child generator per
 trial index), so serial and parallel execution produce the same
 outcomes and every report is reproducible from (config, seed) alone.
+
+numpy is imported by the functions that draw, not with the module, so
+`import hypertail` and every command but `simulate` run without it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ._validation import check_probability, check_positive, check_range
 from .errors import DomainError
@@ -58,6 +59,8 @@ class SimulationReport:
 
 
 def _draw_one(rng: np.random.Generator, N: int, M: int, n: int) -> int:
+    import numpy as np
+
     # Partial Fisher-Yates on a sparse permutation: swap slot j with a
     # uniform slot in [j, N); only touched slots live in the dict.
     if n == 0:
@@ -77,6 +80,8 @@ def _draw_one(rng: np.random.Generator, N: int, M: int, n: int) -> int:
 
 def draw_without_replacement(config: SimulationConfig) -> np.ndarray:
     """Observed positive counts, one per trial, deterministic in seed."""
+    import numpy as np
+
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     counts = np.empty(config.trials, dtype=np.int64)
     for index, child in enumerate(children):
@@ -110,6 +115,8 @@ def coverage_experiment(
     config = SimulationConfig(N, M, n, trials, seed)
     if config.n < 1:
         raise DomainError("n must satisfy n >= 1 to build intervals")
+    import numpy as np
+
     counts = np.bincount(draw_without_replacement(config), minlength=config.n + 1)
     observed = [i for i in range(config.n + 1) if counts[i]]
 

@@ -4,11 +4,16 @@ output formats, the JSON schema contract, and exit codes."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hypertail
 from hypertail import BoundFamily, concentration_bound, tail_bound
 from hypertail.cli import run
 
@@ -115,6 +120,14 @@ class TestExitCodes:
         assert "--" + flag in err
 
 
+def test_cli_import_loads_no_numpy():
+    # Only simulate needs numpy, and it imports it when it runs.
+    src = str(Path(hypertail.__file__).parents[1])
+    code = "import hypertail.cli, sys; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 class TestFormats:
     def test_text_layout(self, capsys):
         assert run(PMF_ARGS) == 0
@@ -171,6 +184,123 @@ class TestFormats:
         assert run(PMF_ARGS) == 2
         assert "HYPERTAIL_FORMAT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, text, csv_text",
+        [
+            (
+                [
+                    "simulate",
+                    "--population", "10", "--positives", "7", "--samples", "5",
+                    "--trials", "400", "--seed", "42",
+                    "--delta", "0.2", "--delta", "0.05", "--deviation", "1.5",
+                ],
+                """\
+command: simulate
+inputs:
+  population = 10
+  positives = 7
+  samples = 5
+  trials = 400
+  seed = 42
+  delta = 0.2, 0.05
+  deviation = 1.5
+results:
+  frequency_2 = 0.07
+  frequency_3 = 0.4175
+  frequency_4 = 0.405
+  frequency_5 = 0.1075
+  coverage_0.2 = 1
+  coverage_0.05 = 1
+  exceedance_1.5 = 0.1775
+""",
+                "command,input.population,input.positives,input.samples,input.trials,"
+                "input.seed,input.delta,input.deviation,result.frequency_2,"
+                "result.frequency_3,result.frequency_4,result.frequency_5,"
+                "result.coverage_0.2,result.coverage_0.05,result.exceedance_1.5,"
+                "warnings,digits\n"
+                "simulate,10,7,5,400,42,0.2;0.05,1.5,0.07,0.4175,0.405,0.1075,"
+                "1,1,0.1775,,6\n",
+            ),
+            (
+                [
+                    "ci",
+                    "--population", "1000", "--samples", "100",
+                    "--observed", "30", "--delta", "0.05", "--compare",
+                ],
+                """\
+command: ci
+inputs:
+  population = 1000
+  samples = 100
+  observed = 30
+  delta = 0.05
+  compare = true
+results:
+  estimate = 300
+  halfwidth = 128.912
+  delta = 0.05
+  lower = 171.088
+  upper = 428.912
+  clamped_lower = 171.088
+  clamped_upper = 428.912
+  estimate_exact = 300
+  legacy_estimate = 300
+  legacy_halfwidth = 135.81
+  legacy_delta = 0.05
+  legacy_lower = 164.19
+  legacy_upper = 435.81
+  legacy_clamped_lower = 164.19
+  legacy_clamped_upper = 435.81
+labels:
+  formula = C1
+  legacy_formula = B1
+""",
+                "command,input.population,input.samples,input.observed,input.delta,"
+                "input.compare,result.estimate,result.halfwidth,result.delta,"
+                "result.lower,result.upper,result.clamped_lower,result.clamped_upper,"
+                "result.estimate_exact,result.legacy_estimate,result.legacy_halfwidth,"
+                "result.legacy_delta,result.legacy_lower,result.legacy_upper,"
+                "result.legacy_clamped_lower,result.legacy_clamped_upper,"
+                "label.formula,label.legacy_formula,warnings,digits\n"
+                "ci,1000,100,30,0.05,true,300,128.912,0.05,171.088,428.912,171.088,"
+                "428.912,300,300,135.81,0.05,164.19,435.81,164.19,435.81,C1,B1,,6\n",
+            ),
+            (
+                ["bound", "--population", "1000", "--samples", "100", "--deviation", "5"],
+                """\
+command: bound
+inputs:
+  population = 1000
+  positives = None
+  samples = 100
+  deviation = 5.0
+  family = auto
+  two_sided = false
+results:
+  value = 0.574107
+  exponent = -0.554939
+  fraction = 0.05
+labels:
+  family = b2
+  two_sided = false
+""",
+                "command,input.population,input.positives,input.samples,"
+                "input.deviation,input.family,input.two_sided,result.value,"
+                "result.exponent,result.fraction,label.family,label.two_sided,"
+                "warnings,digits\n"
+                "bound,1000,,100,5.0,auto,false,0.574107,-0.554939,0.05,b2,false,,6\n",
+            ),
+        ],
+        ids=["simulate-lists", "ci-compare-bool", "bound-none"],
+    )
+    def test_rendered_bytes(self, capsys, argv, text, csv_text):
+        # Lists join with ", " in text and ";" in CSV, bools print in
+        # lower case, and None prints as None in text and empty in CSV.
+        assert run(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == text
+        assert run(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == csv_text
+
 
 class TestSchemaAndRoundTrip:
     @pytest.mark.parametrize(
@@ -218,6 +348,10 @@ class TestSchemaAndRoundTrip:
                 "--population", "100", "--delta", "0.05", "--halfwidth", "5",
             ],
             [
+                "samplesize",
+                "--population", "100", "--delta", "0.05", "--halfwidth-percent", "5",
+            ],
+            [
                 "simulate",
                 "--population", "10", "--positives", "7", "--samples", "5",
                 "--trials", "400", "--seed", "42",
@@ -227,7 +361,7 @@ class TestSchemaAndRoundTrip:
         ids=[
             "pmf", "pmf-log", "tail", "deviation", "bound-two-sided",
             "bound-kl", "ci-compare", "confidence", "confidence-percent",
-            "samplesize", "simulate",
+            "samplesize", "samplesize-percent", "simulate",
         ],
     )
     def test_record_validates_and_inputs_reproduce_it(self, capsys, argv):
@@ -371,6 +505,24 @@ class TestSubcommandResults:
         absolute = run_json(capsys, base + ["--halfwidth", "250"])
         percent = run_json(capsys, base + ["--halfwidth-percent", "25"])
         assert absolute["results"]["delta"] == percent["results"]["delta"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["confidence", "--samples", "800", "--observed", "40"],
+            ["samplesize", "--delta", "0.05"],
+        ],
+        ids=["confidence", "samplesize"],
+    )
+    def test_halfwidth_percent_is_rounded_once(self, capsys, argv):
+        # c = 0.3 * 1000003 / 100 = 3000.009 exactly; in floats the
+        # product and the quotient each rounded, giving 3000.0089999999996.
+        record = run_json(
+            capsys,
+            argv + ["--population", "1000003", "--halfwidth-percent", "0.3", "--digits", "17"],
+        )
+        assert record["results"]["halfwidth"] == "3000.009"
+        assert record["inputs"]["halfwidth_percent"] == 0.3
 
     def test_confidence_census_is_certain(self, capsys):
         record = run_json(
