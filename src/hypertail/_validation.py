@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+from numbers import Rational
 
 from .errors import DomainError
 
@@ -43,15 +44,23 @@ def check_real(value, name: str) -> float:
 
 
 def check_positive(value, name: str) -> float:
-    value = check_real(value, name)
-    if not value > 0:
-        raise DomainError(f"{name} must be positive, got {value}")
-    return value
+    """Check value > 0 and return its float.  Rounding keeps the sign, so
+    only a rational that underflows to 0.0 needs its exact value."""
+    real = check_real(value, name)
+    if not real > 0:
+        if isinstance(value, Rational) and value > 0:
+            raise DomainError(f"{name} is positive but underflows to 0.0 as a float")
+        raise DomainError(f"{name} must be positive, got {real}")
+    return real
 
 
 def check_probability(value, name: str) -> float:
-    """Check a strictly interior probability, 0 < value < 1."""
-    value = check_real(value, name)
-    if not 0 < value < 1:
-        raise DomainError(f"{name} must lie strictly between 0 and 1, got {value}")
-    return value
+    """Check a strictly interior probability, 0 < value < 1, and return
+    its float; a rational inside that rounds onto 0 or 1 is named so."""
+    real = check_real(value, name)
+    if not 0 < real < 1:
+        if isinstance(value, Rational) and 0 < value < 1:
+            rounded = "underflows to 0.0" if real == 0 else "rounds to 1.0"
+            raise DomainError(f"{name} lies strictly between 0 and 1 but {rounded} as a float")
+        raise DomainError(f"{name} must lie strictly between 0 and 1, got {real}")
+    return real

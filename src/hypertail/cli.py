@@ -15,10 +15,12 @@ the input echo are both built from that table.
 Half-widths (--halfwidth) are absolute counts of population
 individuals; --halfwidth-percent converts a percentage of N instead.
 Deviations (--deviation) are absolute counts of sampled individuals.
-Both are read as exact decimals ("0.1" is 1/10): the bound
-subcommand's deviation fraction t = deviation / samples is an exact
-ratio, and a percentage half-width percent * N / 100 is rounded to
-float once, inside the library.
+Both, and --delta, are read as exact decimals ("0.1" is 1/10): the
+bound subcommand's deviation fraction t = deviation / samples is an
+exact ratio, a percentage half-width percent * N / 100 is rounded to
+float once, inside the library, and the library decides the sign of a
+value before rounding it.  A decimal beyond the float range is
+rejected, because the record echoes every input as a float.
 
 Exit codes: 0 on success, 2 on a domain or usage error with a
 diagnostic naming the violated constraint.
@@ -77,11 +79,14 @@ def _interval_results(r: inference.IntervalResult, digits: int, prefix: str = ""
 def _decimal(text: str) -> Fraction:
     """A finite decimal read exactly: "0.1" is 1/10, not the float above it."""
     try:
-        if math.isfinite(float(text)):
-            return Fraction(text)
+        value, exact = float(text), Fraction(text)  # float() also rejects "1/3"
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}") from None
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} lies beyond the float range (about 1.8e308) the record echoes it in"
+        )
+    return exact
 
 
 def _halfwidth(args) -> Fraction:
@@ -219,7 +224,7 @@ def _cmd_simulate(args, digits):
     for i, freq in sorted(report.empirical_pmf.items()):
         results[f"frequency_{i}"] = _fmt(freq, digits)
     for name, d in deltas.items():
-        results[f"coverage_{name}"] = _fmt(report.empirical_coverage[d], digits)
+        results[f"coverage_{name}"] = _fmt(report.empirical_coverage[float(d)], digits)
     for name, t in fractions.items():
         results[f"exceedance_{name}"] = _fmt(report.tail_exceedance[t], digits)
     return results, {}, []
@@ -239,7 +244,7 @@ _OPTIONS = {
         help="absolute deviation from the mean, in sampled individuals "
         "(bound: the fraction is deviation/samples)",
     ),
-    "delta": dict(type=float, help="miscoverage in (0,1)"),
+    "delta": dict(type=_decimal, help="miscoverage in (0,1)"),
     "halfwidth": dict(type=_decimal, help="interval half-width in population individuals"),
     "halfwidth_percent": dict(type=_decimal, help="half-width as a percentage of N"),
     "family": dict(

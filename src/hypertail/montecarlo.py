@@ -1,10 +1,12 @@
 """Seeded simulation harness for validating tails, bounds, and coverage.
 
 Each trial draws n individuals without replacement from a population of
-N with M positives and records the positive count i.  Trials are seeded
-independently from the master seed (one spawned child generator per
-trial index), so serial and parallel execution produce the same
-outcomes and every report is reproducible from (config, seed) alone.
+N with M positives and records the positive count i.  Block b of BLOCK
+trials is one call to numpy's hypergeometric sampler on child b of
+SeedSequence(seed), so it is a pure function of (seed, b): blocks can
+run serially or in parallel, in any order, with the same outcomes, a
+run of T trials is a prefix of every longer run, and every report is
+reproducible from (config, seed) alone.
 
 numpy is imported by the functions that draw, not with the module, so
 `import hypertail` and every command but `simulate` run without it.
@@ -22,10 +24,13 @@ from .errors import DomainError
 from .exact import Population
 from .inference import halfwidth_for_confidence
 
+BLOCK = 2**16  # trials per spawned child seed
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Population, sample size, trial count, and master seed."""
+    """Population, sample size, trial count, and master seed.  M and
+    N - M must each be below 10^9, the limit of numpy's sampler."""
 
     N: int
     M: int
@@ -35,8 +40,12 @@ class SimulationConfig:
 
     def __post_init__(self):
         pop = Population(self.N, self.M)
+        M = pop.require_positives()
+        if max(M, pop.N - M) >= 10**9:
+            raise DomainError("M and N - M must each be below 10^9, the limit of numpy's "
+                              f"hypergeometric sampler, got M = {M}, N - M = {pop.N - M}")
         object.__setattr__(self, "N", pop.N)
-        object.__setattr__(self, "M", pop.require_positives())
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "n", check_range(self.n, "n", 0, pop.N))
         object.__setattr__(self, "trials", check_range(self.trials, "trials", 1))
         object.__setattr__(self, "seed", check_range(self.seed, "seed", 0, 2**64 - 1))
@@ -58,36 +67,47 @@ class SimulationReport:
     tail_exceedance: Mapping[float, float]
 
 
-def _draw_one(rng: np.random.Generator, N: int, M: int, n: int) -> int:
-    import numpy as np
-
-    # Partial Fisher-Yates on a sparse permutation: swap slot j with a
-    # uniform slot in [j, N); only touched slots live in the dict.
-    if n == 0:
-        return 0
-    picks = rng.integers(np.arange(n), N)
-    perm: dict[int, int] = {}
-    hits = 0
-    for j in range(n):
-        r = int(picks[j])
-        value = perm.get(r, r)
-        perm[r] = perm.get(j, j)
-        perm[j] = value
-        if value < M:
-            hits += 1
-    return hits
-
-
 def draw_without_replacement(config: SimulationConfig) -> np.ndarray:
     """Observed positive counts, one per trial, deterministic in seed."""
     import numpy as np
 
-    children = np.random.SeedSequence(config.seed).spawn(config.trials)
-    counts = np.empty(config.trials, dtype=np.int64)
-    for index, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        counts[index] = _draw_one(rng, config.N, config.M, config.n)
+    N, M, n, trials = config.N, config.M, config.n, config.trials
+    children = np.random.SeedSequence(config.seed).spawn(-(-trials // BLOCK))
+    counts = np.empty(trials, dtype=np.int64)
+    for b, child in enumerate(children):
+        block = counts[b * BLOCK : (b + 1) * BLOCK]
+        block[:] = np.random.default_rng(child).hypergeometric(M, N - M, n, size=len(block))
     return counts
+
+
+def _tally(counts, N: int, M: int, n: int, deltas, deviations):
+    """Coverage per delta and exceedance per t, as fractions of the
+    trials, from counts[i] = the number of trials that observed i.
+
+    M lies in [iN/n - c, iN/n + c] exactly when |iN - nM| <= cn, with c
+    the half-width halfwidth_for_confidence reports, and a trial exceeds
+    t unless |iN - nM| < tnN.  So each delta and each t counts one range
+    of i, whose ends are exact integer floors and ceilings.
+    """
+    cum = [0, *counts.cumsum().tolist()]  # cum[k]: trials with i < k
+    total, nM = cum[-1], n * M
+
+    def within(p, q):
+        """Trials with q |iN - nM| <= p: i from ceil to floor of (nM -+ p/q)/N."""
+        lo = max(-((p - q * nM) // (q * N)), 0)
+        hi = min((q * nM + p) // (q * N), n)
+        return cum[hi + 1] - cum[lo] if lo <= hi else 0
+
+    coverage = {}
+    for d in deltas:
+        p, q = halfwidth_for_confidence(N, n, 0, d).halfwidth.as_integer_ratio()
+        coverage[d] = within(p * n, q) / total
+    exceedance = {}
+    for t in deviations:
+        p, q = Fraction(t).as_integer_ratio()
+        # In integers, q |iN - nM| < p n N is q |iN - nM| <= p n N - 1.
+        exceedance[t] = (total - within(p * n * N - 1, q)) / total
+    return coverage, exceedance
 
 
 def coverage_experiment(
@@ -118,29 +138,7 @@ def coverage_experiment(
     import numpy as np
 
     counts = np.bincount(draw_without_replacement(config), minlength=config.n + 1)
-    observed = [i for i in range(config.n + 1) if counts[i]]
-
-    empirical_pmf = {i: int(counts[i]) / config.trials for i in observed}
-
-    empirical_coverage = {}
-    for d in deltas:
-        covered = sum(
-            int(counts[i])
-            for i in observed
-            if halfwidth_for_confidence(config.N, config.n, i, d).contains(config.M)
-        )
-        empirical_coverage[d] = covered / config.trials
-
-    tail_exceedance = {}
-    for t in deviations:
-        # |i - nM/N| >= t n, scaled by N to compare integers with the
-        # exact rational threshold.
-        threshold = Fraction(t) * config.n * config.N
-        exceeded = sum(
-            int(counts[i])
-            for i in observed
-            if abs(i * config.N - config.n * config.M) >= threshold
-        )
-        tail_exceedance[t] = exceeded / config.trials
-
-    return SimulationReport(empirical_pmf, empirical_coverage, tail_exceedance)
+    observed = np.flatnonzero(counts)
+    empirical_pmf = dict(zip(observed.tolist(), (counts[observed] / config.trials).tolist()))
+    coverage, exceedance = _tally(counts, config.N, config.M, config.n, deltas, deviations)
+    return SimulationReport(empirical_pmf, coverage, exceedance)

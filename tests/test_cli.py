@@ -120,6 +120,40 @@ class TestExitCodes:
         assert "--" + flag in err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["simulate", "--population", "2000000000", "--positives", "1000000000",
+                 "--samples", "10", "--trials", "10", "--delta", "0.05"],
+                "must each be below 10^9",
+            ),
+            (
+                ["deviation", "--population", "10", "--positives", "7", "--samples", "5",
+                 "--deviation", "1e400"],
+                "'1e400' lies beyond the float range",
+            ),
+            (
+                ["confidence", "--population", "1000", "--samples", "100",
+                 "--observed", "30", "--halfwidth", "1e-400"],
+                "c is positive but underflows to 0.0",
+            ),
+            (
+                ["ci", "--population", "1000", "--samples", "100",
+                 "--observed", "30", "--delta", "1e-400"],
+                "delta lies strictly between 0 and 1 but underflows to 0.0",
+            ),
+        ],
+        ids=["sampler-limit", "beyond-float-range", "halfwidth-underflow", "delta-underflow"],
+    )
+    def test_diagnostic_names_the_limit(self, capsys, argv, message):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert message in err
+        assert "Traceback" not in err
+
+
 def test_cli_import_loads_no_numpy():
     # Only simulate needs numpy, and it imports it when it runs.
     src = str(Path(hypertail.__file__).parents[1])
@@ -205,21 +239,21 @@ inputs:
   delta = 0.2, 0.05
   deviation = 1.5
 results:
-  frequency_2 = 0.07
-  frequency_3 = 0.4175
-  frequency_4 = 0.405
-  frequency_5 = 0.1075
+  frequency_2 = 0.08
+  frequency_3 = 0.4025
+  frequency_4 = 0.46
+  frequency_5 = 0.0575
   coverage_0.2 = 1
   coverage_0.05 = 1
-  exceedance_1.5 = 0.1775
+  exceedance_1.5 = 0.1375
 """,
                 "command,input.population,input.positives,input.samples,input.trials,"
                 "input.seed,input.delta,input.deviation,result.frequency_2,"
                 "result.frequency_3,result.frequency_4,result.frequency_5,"
                 "result.coverage_0.2,result.coverage_0.05,result.exceedance_1.5,"
                 "warnings,digits\n"
-                "simulate,10,7,5,400,42,0.2;0.05,1.5,0.07,0.4175,0.405,0.1075,"
-                "1,1,0.1775,,6\n",
+                "simulate,10,7,5,400,42,0.2;0.05,1.5,0.08,0.4025,0.46,0.0575,"
+                "1,1,0.1375,,6\n",
             ),
             (
                 [

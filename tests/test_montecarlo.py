@@ -19,9 +19,11 @@ from hypertail import (
     concentration_bound,
     coverage_experiment,
     draw_without_replacement,
+    halfwidth_for_confidence,
     pmf,
     two_sided_exact,
 )
+from hypertail.montecarlo import BLOCK, _tally
 
 SEED = 20260814
 
@@ -58,6 +60,15 @@ class TestDraws:
         counts = draw_without_replacement(SimulationConfig(20, 15, 12, 2000, 8))
         assert counts.min() >= 12 - 5  # n - (N - M)
         assert counts.max() <= 12
+
+    def test_blocks_are_seeded_by_index(self):
+        config = SimulationConfig(1000, 400, 500, trials=BLOCK + 7, seed=3)
+        counts = draw_without_replacement(config)
+        assert np.array_equal(counts, draw_without_replacement(config))
+        short = draw_without_replacement(SimulationConfig(1000, 400, 500, 100, 3))
+        assert np.array_equal(short, counts[:100])
+        # The second block has its own child seed, not the first one's.
+        assert not np.array_equal(counts[:7], counts[BLOCK:])
 
 
 class TestEmpiricalPmf:
@@ -163,6 +174,44 @@ class TestExceedance:
             )
 
 
+class TestRangeTally:
+    """The range tally against the per-outcome definitions it replaces:
+    IntervalResult.contains(M) for coverage, |iN - nM| >= tnN for
+    exceedance."""
+
+    def test_matches_per_outcome_counts(self):
+        deltas = [0.05, 0.2, 0.5]
+        for N in range(1, 31):
+            for n in range(1, N + 1):
+                intervals = {
+                    d: [halfwidth_for_confidence(N, n, i, d) for i in range(n + 1)]
+                    for d in deltas
+                }
+                # t = a/n and a/(2n) put outcomes exactly on the boundary,
+                # as (10, 5, 4) at t = 1/4 does: |i - 2| >= 1 at i = 1, 3.
+                ts = sorted({Fraction(a, k * n) for a in range(1, n + 1) for k in (1, 2)})
+                # Twice the threshold tnN is an integer for these t, so the
+                # reference compares integers for every outcome at once.
+                limits = np.array([int(2 * t * n * N) for t in ts])
+                for M in range(N + 1):
+                    # Weights 2^i: a tally names exactly the outcomes it counted.
+                    support = np.arange(max(0, n - N + M), min(n, M) + 1)
+                    counts = np.zeros(n + 1, dtype=np.int64)
+                    counts[support] = 2**support
+                    total = int(counts.sum())
+                    coverage, exceedance = _tally(counts, N, M, n, deltas, ts)
+                    for d in deltas:
+                        covered = sum(
+                            int(counts[i]) for i in support if intervals[d][i].contains(M)
+                        )
+                        assert coverage[d] == covered / total, (N, M, n, d)
+                    gaps = 2 * np.abs(support * N - n * M)
+                    exceeded = counts[support] @ (gaps[:, None] >= limits[None, :])
+                    assert list(exceedance) == ts
+                    for t, got, count in zip(ts, exceedance.values(), exceeded.tolist()):
+                        assert got == count / total, (N, M, n, t)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -174,6 +223,8 @@ class TestValidation:
             dict(N=10, M=11, n=5, trials=10, seed=1),
             dict(N=10, M=None, n=5, trials=10, seed=1),
             dict(N=10, M=7, n=11, trials=10, seed=1),
+            dict(N=10**9, M=10**9, n=5, trials=10, seed=1),
+            dict(N=2 * 10**9, M=10**9 - 1, n=5, trials=10, seed=1),
         ],
     )
     def test_config_rejects_bad_inputs(self, kwargs):
