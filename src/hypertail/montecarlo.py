@@ -72,10 +72,11 @@ def draw_without_replacement(config: SimulationConfig) -> np.ndarray:
     import numpy as np
 
     N, M, n, trials = config.N, config.M, config.n, config.trials
-    children = np.random.SeedSequence(config.seed).spawn(-(-trials // BLOCK))
+    root = np.random.SeedSequence(config.seed)
     counts = np.empty(trials, dtype=np.int64)
-    for b, child in enumerate(children):
-        block = counts[b * BLOCK : (b + 1) * BLOCK]
+    for start in range(0, trials, BLOCK):
+        block = counts[start : start + BLOCK]
+        child = root.spawn(1)[0]  # children come in turn: b = start / BLOCK
         block[:] = np.random.default_rng(child).hypergeometric(M, N - M, n, size=len(block))
     return counts
 
@@ -84,8 +85,8 @@ def _tally(counts, N: int, M: int, n: int, deltas, deviations):
     """Coverage per delta and exceedance per t, as fractions of the
     trials, from counts[i] = the number of trials that observed i.
 
-    M lies in [iN/n - c, iN/n + c] exactly when |iN - nM| <= cn, with c
-    the half-width halfwidth_for_confidence reports, and a trial exceeds
+    M lies in [iN/n - c, iN/n + c] exactly when |iN - nM| <= cn, where
+    the half-width c depends on N, n and delta alone, and a trial exceeds
     t unless |iN - nM| < tnN.  So each delta and each t counts one range
     of i, whose ends are exact integer floors and ceilings.
     """
