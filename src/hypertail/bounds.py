@@ -17,7 +17,9 @@ with the coefficient g(N, n) taken from one table:
     B4  g = n N / ((N - n)(n + 1))       (n < N)
 
 B2 tightens B1 and B4 tightens B3 for every sample size; B3 and B4 beat
-B1 and B2 exactly when n > N/2, and the pairs coincide at n = N/2.
+B1 and B2 exactly when n > N/2, and the pairs coincide at n = N/2.  AUTO
+is B2 for 2n <= N or n = N and B4 otherwise; correctly rounded quotients
+keep their order, so its one exponent is always the smaller of the two.
 Each bound is clamped to 1 on return; the unclamped log survives in
 ``BoundValue.exponent``.  The confidence intervals and miscoverages of
 `hypertail.inference` (C1/C2, D1/D2 and the legacy B1 forms) invert
@@ -98,6 +100,8 @@ def _coefficient(family: BoundFamily, N, n: int) -> float:
 
 def _closed_form(family: BoundFamily, N, n, t) -> BoundValue:
     N, n, t = _check_nt(N, n, t)
+    if family is BoundFamily.AUTO:
+        family = BoundFamily.B2 if 2 * n <= N or n == N else BoundFamily.B4
     return _clamped(-2.0 * t * t * n * _coefficient(family, N, n), family)
 
 
@@ -171,13 +175,7 @@ def best_bound(N: int, n: int, t: float) -> BoundValue:
     form is excluded because it needs M, which the planning use cases
     do not have.
     """
-    N, n, t = _check_nt(N, n, t)
-    base = -2.0 * t * t * n
-    exponent = base * _coefficient(BoundFamily.B2, N, n)
-    if n == N:
-        return _clamped(exponent, BoundFamily.B2)
-    exponent = min(exponent, base * _coefficient(BoundFamily.B4, N, n))
-    return _clamped(exponent, BoundFamily.B2 if 2 * n <= N else BoundFamily.B4)
+    return _closed_form(BoundFamily.AUTO, N, n, t)
 
 
 def tail_bound(
@@ -193,8 +191,6 @@ def tail_bound(
         raise DomainError(f"family must be a BoundFamily, got {family!r}")
     if family is BoundFamily.KL:
         return kl_upper_tail_bound(Population(N, M), n, t)
-    if family is BoundFamily.AUTO:
-        return best_bound(N, n, t)
     return _closed_form(family, N, n, t)
 
 

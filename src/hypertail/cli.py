@@ -47,8 +47,6 @@ DEFAULT_DIGITS = 6
 
 
 def _fmt(value, digits: int) -> str:
-    if isinstance(value, int):
-        return str(value)
     return f"{float(value):.{digits}g}"
 
 
@@ -257,7 +255,7 @@ _OPTIONS = {
     "trials": dict(type=int, default=10000, help="number of trials"),
     "seed": dict(type=int, default=0, help="master seed"),
     "mode": dict(
-        choices=("auto", "rational", "log"),
+        choices=exact._MODES,
         default="auto",
         help="arithmetic path: exact rationals, log-space, or size-based auto",
     ),

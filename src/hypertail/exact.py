@@ -23,6 +23,7 @@ mode, or the complement of the other tail when k is on the rising side,
 k (N + 2) < (n + 1)(M + 1).  The rational walk sums exact integers; the
 log walk sums floats relative to h(k) and stops once the rest, at most
 term * r / (1 - r) as r falls past the mode, is below 2**-60 of the sum.
+The pmf h(i) is the walk of one term from i, or of none outside the support.
 
 The log pmf is Loader's saddle-point form in O(1) (C. Loader, "Fast and
 Accurate Computation of Binomial Probabilities", 2000; R's dhyper):
@@ -194,11 +195,9 @@ def _bd0(x: int, a: int, N: int) -> float:
 
 
 def _log_pmf(N: int, M: int, n: int, i: int) -> float:
-    """Natural log of the pmf (module docstring), with log p and log q
-    each taken where it does not cancel."""
+    """Natural log of the pmf (module docstring) at i in the support,
+    with log p and log q each taken where it does not cancel."""
     lo, hi = _support(N, M, n)
-    if not lo <= i <= hi:
-        return float("-inf")
     if lo == hi:
         return 0.0  # n or M is 0 or N: a single, certain outcome
     if 2 * n <= N:
@@ -232,7 +231,7 @@ def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
 
 
 def _sum_walk(N: int, n: int, walk, rational: bool) -> ExactProb:
-    """A tail from its walk, walking r(i) = h(i + 1) / h(i)
+    """A tail (or the pmf) from its walk, walking r(i) = h(i + 1) / h(i)
     = (M - i)(n - i) / ((i + 1)(N - M - n + i + 1))."""
     flip, M, k, terms = walk
     if not terms:
@@ -287,10 +286,9 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     """
     pop, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
-    if _resolve_rational(pop.N, n, (1,), mode):
-        numerator = math.comb(M, i) * math.comb(pop.N - M, n - i)
-        return ExactProb.from_rational(Fraction(numerator, math.comb(pop.N, n)))
-    return ExactProb.from_log(_log_pmf(pop.N, M, n, i))
+    lo, hi = _support(pop.N, M, n)
+    walk = (False, M, i, 1 if lo <= i <= hi else 0)
+    return _sum_walk(pop.N, n, walk, _resolve_rational(pop.N, n, (1,), mode))
 
 
 def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:

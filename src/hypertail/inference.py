@@ -39,10 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._validation import check_positive, check_probability, check_range
-from .bounds import BoundFamily, _coefficient
+from .bounds import _LN2, BoundFamily, _coefficient
 from .errors import DomainError
-
-_LN2 = math.log(2.0)
 
 FORMULA_C1 = "C1"
 FORMULA_C2 = "C2"

@@ -6,7 +6,8 @@ trials is one call to numpy's hypergeometric sampler on child b of
 SeedSequence(seed), so it is a pure function of (seed, b): blocks can
 run serially or in parallel, in any order, with the same outcomes, a
 run of T trials is a prefix of every longer run, and every report is
-reproducible from (config, seed) alone.
+reproducible from (config, seed) alone.  The tally adds up each block as
+it is drawn, so it holds one block in memory whatever the trial count.
 
 numpy is imported by the functions that draw, not with the module, so
 `import hypertail` and every command but `simulate` run without it.
@@ -67,17 +68,25 @@ class SimulationReport:
     tail_exceedance: Mapping[float, float]
 
 
-def draw_without_replacement(config: SimulationConfig) -> np.ndarray:
-    """Observed positive counts, one per trial, deterministic in seed."""
+def _blocks(config: SimulationConfig):
+    """Block b's positive counts, drawn from child b of SeedSequence(seed)."""
     import numpy as np
 
     N, M, n, trials = config.N, config.M, config.n, config.trials
     root = np.random.SeedSequence(config.seed)
-    counts = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, BLOCK):
-        block = counts[start : start + BLOCK]
         child = root.spawn(1)[0]  # children come in turn: b = start / BLOCK
-        block[:] = np.random.default_rng(child).hypergeometric(M, N - M, n, size=len(block))
+        rng = np.random.default_rng(child)
+        yield rng.hypergeometric(M, N - M, n, size=min(BLOCK, trials - start))
+
+
+def draw_without_replacement(config: SimulationConfig) -> np.ndarray:
+    """Observed positive counts, one per trial, deterministic in seed."""
+    import numpy as np
+
+    counts = np.empty(config.trials, dtype=np.int64)
+    for start, block in zip(range(0, config.trials, BLOCK), _blocks(config)):
+        counts[start : start + BLOCK] = block
     return counts
 
 
@@ -138,7 +147,7 @@ def coverage_experiment(
         raise DomainError("n must satisfy n >= 1 to build intervals")
     import numpy as np
 
-    counts = np.bincount(draw_without_replacement(config), minlength=config.n + 1)
+    counts = sum(np.bincount(block, minlength=config.n + 1) for block in _blocks(config))
     observed = np.flatnonzero(counts)
     empirical_pmf = dict(zip(observed.tolist(), (counts[observed] / config.trials).tolist()))
     coverage, exceedance = _tally(counts, config.N, config.M, config.n, deltas, deviations)

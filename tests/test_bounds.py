@@ -293,6 +293,7 @@ class TestValidation:
             lambda: b1_tail(5, 0.0),
             lambda: b1_tail(5, -0.2),
             lambda: b1_tail(5, float("nan")),
+            lambda: b1_tail(5, "abc"),
             lambda: b2_tail(10, 11, 0.1),
             lambda: b3_tail(10, 10, 0.1),
             lambda: b4_tail(10, 10, 0.1),

@@ -143,8 +143,14 @@ class TestExitCodes:
                  "--observed", "30", "--delta", "1e-400"],
                 "delta lies strictly between 0 and 1 but underflows to 0.0",
             ),
+            (
+                ["deviation", "--population", "10", "--positives", "7", "--samples", "5",
+                 "--deviation", "1/3"],
+                "not a finite decimal: '1/3'",
+            ),
         ],
-        ids=["sampler-limit", "beyond-float-range", "halfwidth-underflow", "delta-underflow"],
+        ids=["sampler-limit", "beyond-float-range", "halfwidth-underflow", "delta-underflow",
+             "not-a-decimal"],
     )
     def test_diagnostic_names_the_limit(self, capsys, argv, message):
         assert run(argv) == 2
@@ -486,6 +492,26 @@ class TestSubcommandResults:
         )
         assert record["results"]["value"] == "1"
         assert any("vacuous" in w for w in record["warnings"])
+
+    @pytest.mark.parametrize(
+        "argv, warnings",
+        [
+            (
+                ["ci", "--population", "1000", "--samples", "100", "--observed", "0",
+                 "--delta", "0.05"],
+                ["interval clamped to [0, N]"],
+            ),
+            (
+                ["confidence", "--population", "1000", "--samples", "10", "--observed", "3",
+                 "--halfwidth", "1", "--compare"],
+                ["confidence bound is vacuous (delta clamped to 1)",
+                 "legacy confidence bound is vacuous (delta clamped to 1)"],
+            ),
+        ],
+        ids=["ci-clamped", "confidence-vacuous"],
+    )
+    def test_interval_warnings(self, capsys, argv, warnings):
+        assert run_json(capsys, argv)["warnings"] == warnings
 
     @pytest.mark.parametrize("two_sided", [False, True])
     @pytest.mark.parametrize("samples", [5, 8, 10])

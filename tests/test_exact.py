@@ -233,6 +233,14 @@ class TestLogSpace:
         with pytest.raises(DomainError):
             pmf((10, 7), 5, 3, mode="fast")
 
+    def test_certain_and_impossible_tails(self):
+        certain = upper_tail((10, 7), 5, 0, mode="log")
+        assert not certain.is_exact
+        assert certain.value == 1.0 and type(certain.value) is float
+        impossible = upper_tail((10, 7), 5, 6, mode="log")
+        assert impossible.value == 0.0
+        assert impossible.log_value == float("-inf")
+
 
 def _mp_log_pmf(N, M, n, i):
     def log_comb(x, y):
@@ -490,6 +498,7 @@ class TestValidation:
             lambda: pmf((10, 7), 5.0, 3),
             lambda: pmf((10, 7), 5, True),
             lambda: lower_tail((10, 7), 5, 2.5),
+            lambda: two_sided_exact((10, 7), 5, "abc"),
             lambda: as_population((10, 7, 5)),
         ],
     )

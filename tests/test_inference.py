@@ -252,6 +252,7 @@ class TestValidation:
             lambda: halfwidth_for_confidence(10, 5, 3, float("nan")),
             lambda: confidence_for_halfwidth(10, 5, 3, 0.0),
             lambda: confidence_for_halfwidth(10, 5, 3, -2.0),
+            lambda: confidence_for_halfwidth(1000, 100, 30, Fraction(10**400)),
             lambda: b1_halfwidth_for_confidence(10, 5, 3, 1.5),
             lambda: b1_confidence_for_halfwidth(10, 5, 3, -1.0),
             lambda: required_sample_size(10, 0.0, 1.0),

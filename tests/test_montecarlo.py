@@ -8,6 +8,7 @@ reference computed from c = t * n.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,24 @@ class TestDraws:
         assert np.array_equal(short, counts[:100])
         # The second block has its own child seed, not the first one's.
         assert not np.array_equal(counts[:7], counts[BLOCK:])
+
+    def test_tally_reads_the_drawn_stream(self):
+        config = SimulationConfig(60, 24, 30, trials=2 * BLOCK + 7, seed=SEED)
+        counts = np.bincount(draw_without_replacement(config)).tolist()
+        report = coverage_experiment(60, 24, 30, 0.05, config.trials, SEED)
+        expected = {i: c / config.trials for i, c in enumerate(counts) if c}
+        assert report.empirical_pmf == expected
+
+    def test_tally_holds_one_block_in_memory(self):
+        coverage_experiment(60, 24, 30, 0.05, trials=10, seed=1)  # load numpy.random
+        tracemalloc.start()
+        try:
+            coverage_experiment(60, 24, 30, 0.05, trials=16 * BLOCK + 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 16 blocks as one int64 array would take 8 MiB.
+        assert peak < 2 * 2**20
 
 
 class TestEmpiricalPmf:
