@@ -25,6 +25,12 @@ log walk sums floats relative to h(k) and stops once the rest, at most
 term * r / (1 - r) as r falls past the mode, is below 2**-60 of the sum.
 The pmf h(i) is the walk of one term from i, or of none outside the support.
 
+Both deviation questions come down to one range of outcomes.  The
+two-sided tail P[|i - nM/N| >= c] lies outside the open range
+|iN - nM| < cN, and the interval [iN/n - c, iN/n + c] holds M exactly
+on the closed range |iN - nM| <= cn.  `_outcome_range` finds either in
+integer floor division on the bound's exact ratio.
+
 The log pmf is Loader's saddle-point form in O(1) (C. Loader, "Fast and
 Accurate Computation of Binomial Probabilities", 2000; R's dhyper):
 log h = log b(i; M, p) + log b(n - i; N - M, p) - log b(n; N, p) at
@@ -256,6 +262,17 @@ def _sum_walk(N: int, n: int, walk, rational: bool) -> ExactProb:
     return ExactProb.from_log(math.log(-math.expm1(log_value)) if flip else log_value)
 
 
+def _outcome_range(N: int, M: int, n: int, w, scale: int, closed: bool) -> tuple[int, int]:
+    """The outcomes lo..hi, clipped to 0..n, with |iN - nM| <= w scale
+    (closed) or < w scale (open), for an exact rational w = p/q read
+    through as_integer_ratio and an integer scale; lo > hi when there
+    are none.  Both sides of q |iN - nM| <= p scale are integers, so the
+    open range is q |iN - nM| <= p scale - 1."""
+    p, q = w.as_integer_ratio()
+    p = p * scale - (not closed)
+    return max(-((p - q * n * M) // (q * N)), 0), min((q * n * M + p) // (q * N), n)
+
+
 def _tail(N: int, M: int, n: int, k: int, mode: str) -> ExactProb:
     """P[i >= k], priced by the length of its walk."""
     walk = _walk(N, M, n, k)
@@ -317,11 +334,10 @@ def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
 def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
     """P[|i - nM/N| >= c] for an absolute count deviation c > 0.
 
-    The event splits into i <= nM/N - c and i >= nM/N + c.  Thresholds
-    are resolved exactly: the lower part sums up to floor(nM/N - c), the
-    upper part from ceil(nM/N + c), so boundary outcomes where the
-    deviation equals c exactly are included.  c > 0 keeps the two parts
-    disjoint.
+    The event is every outcome outside the open range |iN - nM| < cN
+    (module docstring): a lower walk up to its lo - 1 and an upper walk
+    from its hi + 1, so boundary outcomes where the deviation equals c
+    exactly are included.
     """
     pop, M, n = _check_sample(pop, n)
     if isinstance(c, float) and not math.isfinite(c):
@@ -332,12 +348,10 @@ def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
         raise DomainError(f"c must be a real number, got {c!r}") from None
     if c_exact <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    mean = Fraction(n * M, pop.N)
-    k_lo = math.floor(mean - c_exact)
-    k_hi = math.ceil(mean + c_exact)
-    # One price for both walks, so that "auto" takes one path for both.
     N = pop.N
-    walks = (_walk(N, N - M, n, n - min(k_lo, n)), _walk(N, M, n, max(k_hi, 0)))
+    lo, hi = _outcome_range(N, M, n, c_exact, N, False)
+    # One price for both walks, so that "auto" takes one path for both.
+    walks = (_walk(N, N - M, n, n - lo + 1), _walk(N, M, n, hi + 1))
     rational = _resolve_rational(N, n, [walk[3] for walk in walks], mode)
     low, high = (_sum_walk(N, n, walk, rational) for walk in walks)
     if rational:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from ._validation import check_probability, check_positive, check_range
 from .errors import DomainError
-from .exact import Population
+from .exact import Population, _outcome_range
 from .inference import halfwidth_for_confidence
 
 BLOCK = 2**16  # trials per spawned child seed
@@ -94,29 +94,22 @@ def _tally(counts, N: int, M: int, n: int, deltas, deviations):
     """Coverage per delta and exceedance per t, as fractions of the
     trials, from counts[i] = the number of trials that observed i.
 
-    M lies in [iN/n - c, iN/n + c] exactly when |iN - nM| <= cn, where
-    the half-width c depends on N, n and delta alone, and a trial exceeds
-    t unless |iN - nM| < tnN.  So each delta and each t counts one range
-    of i, whose ends are exact integer floors and ceilings.
+    M lies in [iN/n - c, iN/n + c] on the closed range |iN - nM| <= cn,
+    where c depends on N, n and delta alone, and a trial exceeds t
+    outside the open range |iN - nM| < tnN (`exact._outcome_range`).
     """
     cum = [0, *counts.cumsum().tolist()]  # cum[k]: trials with i < k
-    total, nM = cum[-1], n * M
+    total = cum[-1]
 
-    def within(p, q):
-        """Trials with q |iN - nM| <= p: i from ceil to floor of (nM -+ p/q)/N."""
-        lo = max(-((p - q * nM) // (q * N)), 0)
-        hi = min((q * nM + p) // (q * N), n)
+    def within(w, scale, closed):
+        lo, hi = _outcome_range(N, M, n, w, scale, closed)
         return cum[hi + 1] - cum[lo] if lo <= hi else 0
 
     coverage = {}
     for d in deltas:
-        p, q = halfwidth_for_confidence(N, n, 0, d).halfwidth.as_integer_ratio()
-        coverage[d] = within(p * n, q) / total
-    exceedance = {}
-    for t in deviations:
-        p, q = Fraction(t).as_integer_ratio()
-        # In integers, q |iN - nM| < p n N is q |iN - nM| <= p n N - 1.
-        exceedance[t] = (total - within(p * n * N - 1, q)) / total
+        c = halfwidth_for_confidence(N, n, 0, d).halfwidth
+        coverage[d] = within(c, n, True) / total
+    exceedance = {t: (total - within(Fraction(t), n * N, False)) / total for t in deviations}
     return coverage, exceedance
 
 
