@@ -35,8 +35,9 @@ comparison only and are never selected automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 from ._validation import check_positive, check_probability, check_range
 from .bounds import _LN2, BoundFamily, _coefficient
@@ -57,8 +58,9 @@ class IntervalResult:
     """A confidence interval [estimate - halfwidth, estimate + halfwidth]
     for M, in population individuals.
 
-    The estimate iN/n is kept as an exact rational; lower and upper are
-    the rational endpoints rounded once to float.  The clamped bounds
+    The estimate iN/n and the half-width as typed (`exact_halfwidth`)
+    are kept as exact rationals; lower and upper are the rational
+    endpoints rounded once to float.  The clamped bounds
     intersect the interval with [0, N].  `formula` names the relation
     that linked halfwidth and delta (C1/C2 for delta -> c, D1/D2 for
     c -> delta, B1 for the legacy forms).  `vacuous` marks a reported
@@ -75,10 +77,11 @@ class IntervalResult:
     clamped_upper: float
     vacuous: bool = False
     legacy: bool = False
+    exact_halfwidth: Fraction = field(default=None, compare=False)
 
     def contains(self, count) -> bool:
-        """Exact membership test: |count - estimate| <= halfwidth."""
-        return abs(Fraction(count) - self.estimate) <= Fraction(self.halfwidth)
+        """Exact membership test: |count - estimate| <= exact_halfwidth."""
+        return abs(Fraction(count) - self.estimate) <= self.exact_halfwidth
 
 
 def _check_query(N, n, i) -> tuple[int, int, int]:
@@ -89,13 +92,14 @@ def _check_query(N, n, i) -> tuple[int, int, int]:
 
 
 def _interval(N, n, i, halfwidth, delta, formula, vacuous=False, legacy=False):
+    """halfwidth as typed; the result reports it as a float."""
     estimate = Fraction(i * N, n)
     width = Fraction(halfwidth)
     lower = float(estimate - width)
     upper = float(estimate + width)
     return IntervalResult(
         estimate=estimate,
-        halfwidth=halfwidth,
+        halfwidth=float(halfwidth),
         delta=delta,
         lower=lower,
         upper=upper,
@@ -104,6 +108,7 @@ def _interval(N, n, i, halfwidth, delta, formula, vacuous=False, legacy=False):
         clamped_upper=min(max(upper, 0.0), float(N)),
         vacuous=vacuous,
         legacy=legacy,
+        exact_halfwidth=width,
     )
 
 
@@ -134,12 +139,14 @@ def _from_delta(N, n, i, delta, legacy=False) -> IntervalResult:
 
 def _from_halfwidth(N, n, i, c, legacy=False) -> IntervalResult:
     N, n, i = _check_query(N, n, i)
-    c = check_positive(c, "c")
+    real = check_positive(c, "c")
     g, (_, formula) = _link(N, n, legacy)
     # c * c / (N * N), not (c / N) ** 2: a float power raises
     # OverflowError where this product overflows to inf (delta 0).
-    raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * c * c * n * g / (N * N))
+    raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * real * real * n * g / (N * N))
     vacuous = raw >= 1.0
+    # A rational c is kept as typed: 3/10, not the float nearest it.
+    c = c if isinstance(c, Rational) else real
     return _interval(N, n, i, c, min(1.0, raw), formula, vacuous=vacuous, legacy=legacy)
 
 

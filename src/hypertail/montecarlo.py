@@ -6,8 +6,9 @@ trials is one call to numpy's hypergeometric sampler on child b of
 SeedSequence(seed), so it is a pure function of (seed, b): blocks can
 run serially or in parallel, in any order, with the same outcomes, a
 run of T trials is a prefix of every longer run, and every report is
-reproducible from (config, seed) alone.  The tally adds up each block as
-it is drawn, so it holds one block in memory whatever the trial count.
+reproducible from (config, seed) alone.  The tally counts each block as
+it is drawn, over the span of outcomes it drew, so its memory grows with
+neither the trial count nor n.
 
 numpy is imported by the functions that draw, not with the module, so
 `import hypertail` and every command but `simulate` run without it.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -27,11 +29,16 @@ from .inference import halfwidth_for_confidence
 
 BLOCK = 2**16  # trials per spawned child seed
 
+#: Most trials one run may draw: 10^8 poll-scale trials at n = 1,000
+#: take about 17 s on one core of a 2-CPU x86 host.
+MAX_TRIALS = 10**8
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Population, sample size, trial count, and master seed.  M and
-    N - M must each be below 10^9, the limit of numpy's sampler."""
+    N - M must each be below 10^9, the limit of numpy's sampler, and
+    trials at most MAX_TRIALS."""
 
     N: int
     M: int
@@ -48,7 +55,7 @@ class SimulationConfig:
         object.__setattr__(self, "N", pop.N)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "n", check_range(self.n, "n", 0, pop.N))
-        object.__setattr__(self, "trials", check_range(self.trials, "trials", 1))
+        object.__setattr__(self, "trials", check_range(self.trials, "trials", 1, MAX_TRIALS))
         object.__setattr__(self, "seed", check_range(self.seed, "seed", 0, 2**64 - 1))
 
 
@@ -90,20 +97,41 @@ def draw_without_replacement(config: SimulationConfig) -> np.ndarray:
     return counts
 
 
-def _tally(counts, N: int, M: int, n: int, deltas, deviations):
+def _span(block):
+    """(first, counts): counts[j] trials of the block observed first + j,
+    over the span of outcomes it drew, not all of 0..n."""
+    import numpy as np
+
+    first = int(block.min())
+    return first, np.bincount(block - first)
+
+
+def _merge(a, b):
+    """Two spans' (first, counts) added up over the span holding both."""
+    import numpy as np
+
+    first = min(a[0], b[0])
+    counts = np.zeros(max(a[0] + a[1].size, b[0] + b[1].size) - first, dtype=np.int64)
+    for start, part in (a, b):
+        counts[start - first : start - first + part.size] += part
+    return first, counts
+
+
+def _tally(first, counts, N: int, M: int, n: int, deltas, deviations):
     """Coverage per delta and exceedance per t, as fractions of the
-    trials, from counts[i] = the number of trials that observed i.
+    trials, from counts[j] = the number of trials that observed first + j.
 
     M lies in [iN/n - c, iN/n + c] on the closed range |iN - nM| <= cn,
     where c depends on N, n and delta alone, and a trial exceeds t
     outside the open range |iN - nM| < tnN (`exact._outcome_range`).
     """
-    cum = [0, *counts.cumsum().tolist()]  # cum[k]: trials with i < k
-    total = cum[-1]
+    cum = [0, *counts.cumsum().tolist()]  # cum[j]: trials with i < first + j
+    total, last = cum[-1], len(cum) - 1
 
     def within(w, scale, closed):
         lo, hi = _outcome_range(N, M, n, w, scale, closed)
-        return cum[hi + 1] - cum[lo] if lo <= hi else 0
+        lo, hi = max(lo - first, 0), min(hi + 1 - first, last)
+        return cum[hi] - cum[lo] if lo < hi else 0
 
     coverage = {}
     for d in deltas:
@@ -140,8 +168,9 @@ def coverage_experiment(
         raise DomainError("n must satisfy n >= 1 to build intervals")
     import numpy as np
 
-    counts = sum(np.bincount(block, minlength=config.n + 1) for block in _blocks(config))
+    first, counts = reduce(_merge, map(_span, _blocks(config)))
     observed = np.flatnonzero(counts)
-    empirical_pmf = dict(zip(observed.tolist(), (counts[observed] / config.trials).tolist()))
-    coverage, exceedance = _tally(counts, config.N, config.M, config.n, deltas, deviations)
+    frequencies = (counts[observed] / config.trials).tolist()
+    empirical_pmf = dict(zip((observed + first).tolist(), frequencies))
+    coverage, exceedance = _tally(first, counts, config.N, config.M, config.n, deltas, deviations)
     return SimulationReport(empirical_pmf, coverage, exceedance)

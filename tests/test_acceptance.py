@@ -104,6 +104,12 @@ def test_05_sample_size_at_poll_scale():
     assert abs(res.n_required - 290_296) <= 1
 
 
+def _exceeds(num, denom, value) -> bool:
+    """num / denom > value, compared in integers."""
+    vn, vd = value.as_integer_ratio()
+    return num * vd > vn * denom
+
+
 def test_06_every_bound_dominates_the_exact_tail():
     start = time.monotonic()
     violations = []
@@ -112,7 +118,7 @@ def test_06_every_bound_dominates_the_exact_tail():
             denom = math.comb(N, n)
             partial = n < N
             for t in T_GRID:
-                tf = Fraction(t)
+                p, q = t.as_integer_ratio()
                 singles = {
                     "b1": b1_tail(n, t).value,
                     "b2": b2_tail(N, n, t).value,
@@ -135,25 +141,24 @@ def test_06_every_bound_dominates_the_exact_tail():
                 double_floor = min(doubles.values())
                 for M in range(N + 1):
                     pre = oracles.prefix_weights(N, M, n)
-                    k_up = math.ceil((Fraction(M, N) + tf) * n)
-                    k_lo = math.floor((Fraction(M, N) - tf) * n)
+                    # ceil((M/N + t) n) and floor((M/N - t) n) with t = p/q.
+                    k_up = -(-(q * M + p * N) * n // (q * N))
+                    k_lo = (q * M - p * N) * n // (q * N)
                     up_num = (
                         0
                         if k_up > n
                         else pre[n] - (pre[k_up - 1] if k_up >= 1 else 0)
                     )
                     lo_num = 0 if k_lo < 0 else pre[min(k_lo, n)]
-                    exact_up = Fraction(up_num, denom)
-                    exact_lo = Fraction(lo_num, denom)
-                    exact_two = Fraction(up_num + lo_num, denom)
+                    two_num = up_num + lo_num
 
-                    if max(exact_up, exact_lo) > single_floor:
+                    if _exceeds(max(up_num, lo_num), denom, single_floor):
                         for name, value in singles.items():
-                            if exact_up > value or exact_lo > value:
+                            if _exceeds(up_num, denom, value) or _exceeds(lo_num, denom, value):
                                 violations.append((N, M, n, t, name, "single"))
-                    if exact_two > double_floor:
+                    if _exceeds(two_num, denom, double_floor):
                         for name, value in doubles.items():
-                            if exact_two > value:
+                            if _exceeds(two_num, denom, value):
                                 violations.append((N, M, n, t, name, "double"))
 
                     kl_up = kl_upper_tail_bound((N, M), n, t).value
@@ -161,11 +166,11 @@ def test_06_every_bound_dominates_the_exact_tail():
                     kl_two = concentration_bound(
                         N, n, t, BoundFamily.KL, M=M
                     ).value
-                    if exact_up > kl_up:
+                    if _exceeds(up_num, denom, kl_up):
                         violations.append((N, M, n, t, "kl", "upper"))
-                    if exact_lo > kl_lo:
+                    if _exceeds(lo_num, denom, kl_lo):
                         violations.append((N, M, n, t, "kl", "lower"))
-                    if exact_two > kl_two:
+                    if _exceeds(two_num, denom, kl_two):
                         violations.append((N, M, n, t, "kl", "double"))
     elapsed = time.monotonic() - start
     assert not violations, f"{len(violations)} violations, first: {violations[:5]}"

@@ -129,6 +129,11 @@ class TestExitCodes:
                 "must each be below 10^9",
             ),
             (
+                ["simulate", "--population", "10", "--positives", "7", "--samples", "5",
+                 "--trials", "1000000000000000", "--delta", "0.05"],
+                "trials <= 100000000",
+            ),
+            (
                 ["deviation", "--population", "10", "--positives", "7", "--samples", "5",
                  "--deviation", "1e400"],
                 "'1e400' lies beyond the float range",
@@ -149,8 +154,8 @@ class TestExitCodes:
                 "not a finite decimal: '1/3'",
             ),
         ],
-        ids=["sampler-limit", "beyond-float-range", "halfwidth-underflow", "delta-underflow",
-             "not-a-decimal"],
+        ids=["sampler-limit", "trial-limit", "beyond-float-range", "halfwidth-underflow",
+             "delta-underflow", "not-a-decimal"],
     )
     def test_diagnostic_names_the_limit(self, capsys, argv, message):
         assert run(argv) == 2

@@ -150,6 +150,14 @@ class TestMembership:
         assert res.contains(inside)
         assert not res.contains(inside + Fraction(1, 10**30))
 
+    @pytest.mark.parametrize("interval", [confidence_for_halfwidth, b1_confidence_for_halfwidth])
+    def test_contains_reads_the_typed_halfwidth(self, interval):
+        # 13/10 - 3/10 is 1 exactly; the float 0.3 lies below 3/10.
+        res = interval(13, 10, 1, Fraction(3, 10))
+        assert res.halfwidth == 0.3
+        assert res.lower == 1.0
+        assert res.contains(1)
+
     def test_contains_integer_counts(self):
         res = confidence_for_halfwidth(100, 20, 5, 10)
         for M in range(101):

@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from hypertail import (
@@ -24,7 +25,7 @@ from hypertail import (
     pmf,
     two_sided_exact,
 )
-from hypertail.montecarlo import BLOCK, _tally
+from hypertail.montecarlo import BLOCK, MAX_TRIALS, _tally
 
 SEED = 20260814
 
@@ -78,15 +79,17 @@ class TestDraws:
         expected = {i: c / config.trials for i, c in enumerate(counts) if c}
         assert report.empirical_pmf == expected
 
-    def test_tally_holds_one_block_in_memory(self):
+    @pytest.mark.parametrize("N, M, n", [(60, 24, 30), (4 * 10**7, 2 * 10**7, 10**7)])
+    def test_tally_holds_one_block_in_memory(self, N, M, n):
         coverage_experiment(60, 24, 30, 0.05, trials=10, seed=1)  # load numpy.random
         tracemalloc.start()
         try:
-            coverage_experiment(60, 24, 30, 0.05, trials=16 * BLOCK + 1, seed=1)
+            coverage_experiment(N, M, n, 0.05, trials=16 * BLOCK + 1, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The 16 blocks as one int64 array would take 8 MiB.
+        # The 16 blocks as one int64 array would take 8 MiB, and counts
+        # over every outcome 0..n at n = 10^7 would take 80 MiB.
         assert peak < 2 * 2**20
 
 
@@ -218,7 +221,7 @@ class TestRangeTally:
                     counts = np.zeros(n + 1, dtype=np.int64)
                     counts[support] = 2**support
                     total = int(counts.sum())
-                    coverage, exceedance = _tally(counts, N, M, n, deltas, ts)
+                    coverage, exceedance = _tally(0, counts, N, M, n, deltas, ts)
                     for d in deltas:
                         covered = sum(
                             int(counts[i]) for i in support if intervals[d][i].contains(M)
@@ -229,6 +232,12 @@ class TestRangeTally:
                     assert list(exceedance) == ts
                     for t, got, count in zip(ts, exceedance.values(), exceeded.tolist()):
                         assert got == count / total, (N, M, n, t)
+                    # Weights C(M, i) C(N - M, n - i), the exact numerators:
+                    # the tally and the exact layer count the same outcomes.
+                    weights = np.array(oracles.weights(N, M, n), dtype=np.int64)
+                    _, exceedance = _tally(0, weights, N, M, n, [], ts)
+                    for t, got in exceedance.items():
+                        assert got == float(two_sided_exact((N, M), n, t * n).value), (N, M, n, t)
 
 
 class TestValidation:
@@ -237,6 +246,7 @@ class TestValidation:
         [
             dict(N=10, M=7, n=5, trials=0, seed=1),
             dict(N=10, M=7, n=5, trials=-3, seed=1),
+            dict(N=10, M=7, n=5, trials=MAX_TRIALS + 1, seed=1),
             dict(N=10, M=7, n=5, trials=10, seed=-1),
             dict(N=10, M=7, n=5, trials=10, seed=2**64),
             dict(N=10, M=11, n=5, trials=10, seed=1),
