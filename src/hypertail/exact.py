@@ -13,11 +13,11 @@ precision rational (`fractions.Fraction`) and its natural logarithm.
 `mode="rational"` and `mode="log"` force one path; `mode="auto"` (the
 default) takes the rational one when N <= RATIONAL_LIMIT and its price,
 the bit-length of C(N, n) times (the terms walked + bits / 16 for the
-binomial coefficients), is within RATIONAL_BUDGET.  A two-sided
-probability pays for both of its walks at once, and a tail of 0 or 1
-costs nothing.
+binomial coefficients), is within RATIONAL_BUDGET.
 
-A tail P[i >= k] (a lower tail is an upper tail of the flipped
+Every tail and deviation is one priced call for P[i < lo] + P[i > hi],
+the probability outside a range of outcomes; a walk of no terms (a tail
+of 0 or 1) costs nothing.  P[i >= k] (P[i < lo] is one of the flipped
 population) is one walk of h(i + 1) = h(i) r(i) from k away from the
 mode, or the complement of the other tail when k is on the rising side,
 k (N + 2) < (n + 1)(M + 1).  The rational walk sums exact integers; the
@@ -150,8 +150,7 @@ def as_population(pop) -> Population:
 
 
 def _resolve_rational(N: int, n: int, walks, mode: str) -> bool:
-    """Whether to evaluate in rationals; "auto" prices the walks first.
-    An empty walk (a tail of 0 or 1) costs nothing."""
+    """Whether to evaluate in rationals; "auto" prices the walks first."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode != "auto":
@@ -236,21 +235,21 @@ def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
     return False, M, k, hi - k + 1
 
 
-def _sum_walk(N: int, n: int, walk, rational: bool) -> ExactProb:
-    """A tail (or the pmf) from its walk, walking r(i) = h(i + 1) / h(i)
-    = (M - i)(n - i) / ((i + 1)(N - M - n + i + 1))."""
+def _sum_walk(N: int, n: int, walk, rational: bool) -> Fraction | float:
+    """A tail (or the pmf) from its walk of r(i) = h(i + 1) / h(i) = (M - i)(n - i)
+    / ((i + 1)(N - M - n + i + 1)): a Fraction, or a log clamped at 0 as in from_log."""
     flip, M, k, terms = walk
     if not terms:
         if rational:
-            return ExactProb.from_rational(Fraction(int(flip)))
-        return ExactProb.from_log(0.0 if flip else float("-inf"))
+            return Fraction(int(flip))
+        return 0.0 if flip else float("-inf")
     if rational:
         term = total = math.comb(M, k) * math.comb(N - M, n - k)
         for i in range(k, k + terms - 1):
             term = term * (M - i) * (n - i) // ((i + 1) * (N - M - n + i + 1))
             total += term
-        value = Fraction(total, math.comb(N, n))
-        return ExactProb.from_rational(1 - value if flip else value)
+        whole = math.comb(N, n)
+        return Fraction(whole - total if flip else total, whole)
     term = total = 1.0
     for i in range(k, k + terms - 1):
         r = (M - i) * (n - i) / ((i + 1) * (N - M - n + i + 1))
@@ -259,7 +258,7 @@ def _sum_walk(N: int, n: int, walk, rational: bool) -> ExactProb:
         if term * r < _TRUNCATION * total * (1 - r):
             break
     log_value = _log_pmf(N, M, n, k) + math.log(total)
-    return ExactProb.from_log(math.log(-math.expm1(log_value)) if flip else log_value)
+    return min(0.0, math.log(-math.expm1(log_value)) if flip else log_value)
 
 
 def _outcome_range(N: int, M: int, n: int, w, scale: int, closed: bool) -> tuple[int, int]:
@@ -271,12 +270,6 @@ def _outcome_range(N: int, M: int, n: int, w, scale: int, closed: bool) -> tuple
     p, q = w.as_integer_ratio()
     p = p * scale - (not closed)
     return max(-((p - q * n * M) // (q * N)), 0), min((q * n * M + p) // (q * N), n)
-
-
-def _tail(N: int, M: int, n: int, k: int, mode: str) -> ExactProb:
-    """P[i >= k], priced by the length of its walk."""
-    walk = _walk(N, M, n, k)
-    return _sum_walk(N, n, walk, _resolve_rational(N, n, (walk[3],), mode))
 
 
 def _log_add(a: float, b: float) -> float:
@@ -294,6 +287,17 @@ def _check_sample(pop, n) -> tuple[Population, int, int]:
     return pop, pop.require_positives(), check_range(n, "n", 0, pop.N)
 
 
+def _outside(N: int, M: int, n: int, lo: int, hi: int, mode: str) -> ExactProb:
+    """P[i < lo] + P[i > hi], both walks priced at once so that "auto" takes one
+    path.  A zero part, as a one-sided tail has, is kept out of the slow Fraction sum."""
+    down, up = _walk(N, N - M, n, n - lo + 1), _walk(N, M, n, hi + 1)
+    rational = _resolve_rational(N, n, (down[3], up[3]), mode)
+    low, high = _sum_walk(N, n, down, rational), _sum_walk(N, n, up, rational)
+    if rational:
+        return ExactProb.from_rational(low + high if low and high else low or high)
+    return ExactProb.from_log(_log_add(low, high))
+
+
 def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     """P[exactly i positives among n draws] = C(M,i) C(N-M,n-i) / C(N,n).
 
@@ -304,8 +308,9 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     pop, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
     lo, hi = _support(pop.N, M, n)
-    walk = (False, M, i, 1 if lo <= i <= hi else 0)
-    return _sum_walk(pop.N, n, walk, _resolve_rational(pop.N, n, (1,), mode))
+    rational = _resolve_rational(pop.N, n, (1,), mode)
+    part = _sum_walk(pop.N, n, (False, M, i, 1 if lo <= i <= hi else 0), rational)
+    return ExactProb.from_rational(part) if rational else ExactProb.from_log(part)
 
 
 def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
@@ -317,7 +322,7 @@ def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     """
     pop, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
-    return _tail(pop.N, pop.N - M, n, n - min(k, n), mode)
+    return _outside(pop.N, M, n, k + 1, n, mode)
 
 
 def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
@@ -328,16 +333,15 @@ def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     """
     pop, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
-    return _tail(pop.N, M, n, max(k, 0), mode)
+    return _outside(pop.N, M, n, 0, k - 1, mode)
 
 
 def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
     """P[|i - nM/N| >= c] for an absolute count deviation c > 0.
 
     The event is every outcome outside the open range |iN - nM| < cN
-    (module docstring): a lower walk up to its lo - 1 and an upper walk
-    from its hi + 1, so boundary outcomes where the deviation equals c
-    exactly are included.
+    (module docstring), so boundary outcomes where the deviation equals
+    c exactly are included.
     """
     pop, M, n = _check_sample(pop, n)
     if isinstance(c, float) and not math.isfinite(c):
@@ -348,15 +352,8 @@ def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
         raise DomainError(f"c must be a real number, got {c!r}") from None
     if c_exact <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    N = pop.N
-    lo, hi = _outcome_range(N, M, n, c_exact, N, False)
-    # One price for both walks, so that "auto" takes one path for both.
-    walks = (_walk(N, N - M, n, n - lo + 1), _walk(N, M, n, hi + 1))
-    rational = _resolve_rational(N, n, [walk[3] for walk in walks], mode)
-    low, high = (_sum_walk(N, n, walk, rational) for walk in walks)
-    if rational:
-        return ExactProb.from_rational(low.value + high.value)
-    return ExactProb.from_log(_log_add(low.log_value, high.log_value))
+    lo, hi = _outcome_range(pop.N, M, n, c_exact, pop.N, False)
+    return _outside(pop.N, M, n, lo, hi, mode)
 
 
 def flip_symmetry(pop, n: int, k: int) -> tuple[Population, int]:
