@@ -185,12 +185,14 @@ def tail_bound(
 
     B1 through B4 bound either tail alike.  KL requires M and bounds the
     upper tail of the population (N, M); B3 and B4 require n < N; AUTO
-    picks best_bound.
+    picks best_bound.  Every family checks a given M against 0..N.
     """
     if not isinstance(family, BoundFamily):
         raise DomainError(f"family must be a BoundFamily, got {family!r}")
-    if family is BoundFamily.KL:
-        return kl_upper_tail_bound(Population(N, M), n, t)
+    if M is not None or family is BoundFamily.KL:
+        pop = Population(N, M)
+        if family is BoundFamily.KL:
+            return kl_upper_tail_bound(pop, n, t)
     return _closed_form(family, N, n, t)
 
 
@@ -208,7 +210,7 @@ def concentration_bound(
     best_bound.
     """
     if family is not BoundFamily.KL:
-        single = tail_bound(N, n, t, family)
+        single = tail_bound(N, n, t, family, M)
         return _clamped(single.exponent, single.family_used, two_sided=True)
     pop = Population(N, M)
     up = kl_upper_tail_bound(pop, n, t)

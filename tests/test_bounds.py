@@ -267,8 +267,13 @@ class TestConcentrationBound:
             concentration_bound(10, 5, 0.3, "b2")
 
     def test_rejects_out_of_range_m(self):
-        with pytest.raises(DomainError):
-            concentration_bound(10, 5, 0.3, BoundFamily.KL, M=11)
+        # A given M must fit the population whatever the family.
+        for family in (BoundFamily.KL, BoundFamily.B2, BoundFamily.AUTO):
+            for M in (11, -1):
+                with pytest.raises(DomainError, match="M must satisfy"):
+                    concentration_bound(10, 5, 0.3, family, M=M)
+                with pytest.raises(DomainError, match="M must satisfy"):
+                    tail_bound(10, 5, 0.3, family, M=M)
 
     @given(
         Nn=population_and_sample(n_below_N=True),

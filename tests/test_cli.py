@@ -153,9 +153,14 @@ class TestExitCodes:
                  "--deviation", "1/3"],
                 "not a finite decimal: '1/3'",
             ),
+            (
+                ["bound", "--population", "10", "--positives", "11", "--samples", "5",
+                 "--deviation", "1"],
+                "M must satisfy 0 <= M <= 10, got 11",
+            ),
         ],
         ids=["sampler-limit", "trial-limit", "beyond-float-range", "halfwidth-underflow",
-             "delta-underflow", "not-a-decimal"],
+             "delta-underflow", "not-a-decimal", "bound-positives"],
     )
     def test_diagnostic_names_the_limit(self, capsys, argv, message):
         assert run(argv) == 2

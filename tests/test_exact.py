@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -147,6 +148,25 @@ class TestTwoSided:
     def test_matches_oracle(self, pms, c):
         N, M, n = pms
         assert two_sided_exact((N, M), n, c).value == oracles.two_sided(N, M, n, c)
+
+    def test_equals_the_sum_of_its_tails(self):
+        # lo..hi is the open range |iN - nM| < cN, found by enumeration;
+        # an empty range splits the outcomes at floor(nM/N).
+        for N in range(1, 21):
+            for M, n, mode in itertools.product(range(N + 1), range(N + 1), ("rational", "log")):
+                for c in (Fraction(1, 2), 1, Fraction(7, 3), Fraction(n, 3) + Fraction(1, 10)):
+                    inside = [i for i in range(n + 1) if abs(i * N - n * M) < c * N]
+                    lo, hi = (inside[0], inside[-1]) if inside else (n * M // N + 1, n * M // N)
+                    both = two_sided_exact((N, M), n, c, mode=mode)
+                    low = lower_tail((N, M), n, lo - 1, mode=mode)
+                    high = upper_tail((N, M), n, hi + 1, mode=mode)
+                    if mode == "rational":
+                        assert both.is_exact and both.value == low.value + high.value
+                    elif low.value == 0 or high.value == 0:
+                        rest = high if low.value == 0 else low
+                        assert (both.value, both.log_value) == (rest.value, rest.log_value)
+                    else:
+                        assert abs(both.value - low.value - high.value) <= 1e-14 * both.value
 
     def test_rejects_nonpositive_deviation(self):
         with pytest.raises(DomainError):
