@@ -2,10 +2,11 @@
 
     python3 tools/compare_outputs.py PARENT_DIR
 
-Run from the root of a checkout; PARENT_DIR is the root of another (for
-example an unpacked `git archive` of the parent commit).  The sweep runs
-twice, under each checkout's `src`, each in its own Python process, and
-every record the two print is compared line by line.  It covers:
+It compares the checkout that holds it with PARENT_DIR, the root of
+another (for example an unpacked `git archive` of the parent commit).
+The sweep runs twice, under each checkout's `src`, each in its own
+Python process, and every record the two print is compared line by
+line.  It covers:
 
 - `pmf`, `lower_tail` and `upper_tail` in "auto" and "log" at every
   N <= 30, M, n and k in -1..n + 1;
@@ -21,8 +22,8 @@ every record the two print is compared line by line.  It covers:
 Each record is the call, the value's type, the value and its log, or the
 error raised.  The workload lists come from this checkout's `bench/`,
 which the sweep only reads.  Prints the number of records per section,
-the first differences, and exits 1 if there are any.  It takes about two
-minutes on two cores, as the two processes run side by side.
+the first differences, and exits 1 if there are any.  The two processes
+run side by side; on two cores (Python 3.11) the sweep takes about 50 s.
 """
 
 from __future__ import annotations
