@@ -1,9 +1,11 @@
-"""Small argument-checking helpers used by every module."""
+"""Small argument-checking helpers used by every module; `check_positive`
+is the one reader of a positive real argument, a deviation or half-width."""
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from numbers import Rational
 
 from .errors import DomainError
@@ -32,26 +34,34 @@ def check_range(value, name: str, low, high=None) -> int:
 
 
 def check_real(value, name: str) -> float:
+    """The finite float of a real value.  A str, bytes or bool is not
+    taken as a number, though float() would read one."""
+    if type(value) is not float and isinstance(value, (str, bytes, bool)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:  # a rational beyond the float range
         value = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
 
 
-def check_positive(value, name: str) -> float:
-    """Check value > 0 and return its float.  Rounding keeps the sign, so
-    only a rational that underflows to 0.0 needs its exact value."""
+def check_positive(value, name: str) -> int | Fraction | float:
+    """Check value > 0 and return it: an int or Fraction as given, so it
+    stays exact, and any other real as its float.  Rounding keeps the
+    sign, so only a rational that underflows to 0.0, which is rejected,
+    needs its exact value."""
     real = check_real(value, name)
     if not real > 0:
         if isinstance(value, Rational) and value > 0:
             raise DomainError(f"{name} is positive but underflows to 0.0 as a float")
         raise DomainError(f"{name} must be positive, got {real}")
-    return real
+    if type(value) is float or not isinstance(value, (int, Fraction)):
+        return real
+    return value
 
 
 def check_probability(value, name: str) -> float:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from ._validation import as_int, check_positive, check_range
 from .errors import DomainError, UnsupportedBoundError
@@ -77,12 +76,7 @@ def _check_nt(N, n, t):
     KL boundary p + t = 1 is decided on the ratio the caller gave."""
     if N is not None:
         N = as_int(N, "N")
-    n = check_range(n, "n", 1, N)
-    # Floats are tested first: isinstance against Fraction, an abstract
-    # base class, would add half a microsecond to every float call.
-    if isinstance(t, float) or not (isinstance(t, (int, Fraction)) and t > 0):
-        t = check_positive(t, "t")
-    return N, n, t
+    return N, check_range(n, "n", 1, N), check_positive(t, "t")
 
 
 def _coefficient(family: BoundFamily, N, n: int) -> float:

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._validation import as_int, check_range
+from ._validation import as_int, check_positive, check_range
 from .errors import DomainError
 
 #: Largest N for which mode="auto" evaluates in rational arithmetic.
@@ -344,15 +344,7 @@ def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
     c exactly are included.
     """
     pop, M, n = _check_sample(pop, n)
-    if isinstance(c, float) and not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c}")
-    try:
-        c_exact = Fraction(c)
-    except (TypeError, ValueError):
-        raise DomainError(f"c must be a real number, got {c!r}") from None
-    if c_exact <= 0:
-        raise DomainError(f"c must be positive, got {c}")
-    lo, hi = _outcome_range(pop.N, M, n, c_exact, pop.N, False)
+    lo, hi = _outcome_range(pop.N, M, n, check_positive(c, "c"), pop.N, False)
     return _outside(pop.N, M, n, lo, hi, mode)
 
 

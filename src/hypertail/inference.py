@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 
 from ._validation import check_positive, check_probability, check_range
 from .bounds import _LN2, BoundFamily, _coefficient
@@ -139,14 +138,13 @@ def _from_delta(N, n, i, delta, legacy=False) -> IntervalResult:
 
 def _from_halfwidth(N, n, i, c, legacy=False) -> IntervalResult:
     N, n, i = _check_query(N, n, i)
-    real = check_positive(c, "c")
+    c = check_positive(c, "c")  # an int or Fraction is kept as typed
+    real = float(c)
     g, (_, formula) = _link(N, n, legacy)
     # c * c / (N * N), not (c / N) ** 2: a float power raises
     # OverflowError where this product overflows to inf (delta 0).
     raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * real * real * n * g / (N * N))
     vacuous = raw >= 1.0
-    # A rational c is kept as typed: 3/10, not the float nearest it.
-    c = c if isinstance(c, Rational) else real
     return _interval(N, n, i, c, min(1.0, raw), formula, vacuous=vacuous, legacy=legacy)
 
 
@@ -203,7 +201,7 @@ class SampleSizeResult:
 def _plan_inputs(N, delta, c):
     N = check_range(N, "N", 1)
     delta = check_probability(delta, "delta")
-    c = check_positive(c, "c")
+    c = float(check_positive(c, "c"))
     if c >= N:
         raise DomainError(
             f"c must satisfy c < N = {N}, got {c}; the interval already "
