@@ -237,7 +237,7 @@ def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
 
 def _sum_walk(N: int, n: int, walk, rational: bool) -> Fraction | float:
     """A tail (or the pmf) from its walk of r(i) = h(i + 1) / h(i) = (M - i)(n - i)
-    / ((i + 1)(N - M - n + i + 1)): a Fraction, or a log clamped at 0 as in from_log."""
+    / ((i + 1)(N - M - n + i + 1)): a Fraction, or a log."""
     flip, M, k, terms = walk
     if not terms:
         if rational:
@@ -258,7 +258,7 @@ def _sum_walk(N: int, n: int, walk, rational: bool) -> Fraction | float:
         if term * r < _TRUNCATION * total * (1 - r):
             break
     log_value = _log_pmf(N, M, n, k) + math.log(total)
-    return min(0.0, math.log(-math.expm1(log_value)) if flip else log_value)
+    return math.log(-math.expm1(log_value)) if flip else log_value
 
 
 def _outcome_range(N: int, M: int, n: int, w, scale: int, closed: bool) -> tuple[int, int]:

@@ -16,11 +16,10 @@ numpy is imported by the functions that draw, not with the module, so
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from numbers import Real
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._validation import check_probability, check_positive, check_range
 from .errors import DomainError
@@ -66,8 +65,9 @@ class SimulationReport:
     empirical_pmf maps each observed i to its frequency (summing to 1);
     empirical_coverage maps each requested delta to the fraction of
     trials whose interval contained M; tail_exceedance maps each
-    requested deviation fraction t, keyed by the t given, to the fraction
-    of trials with |i - nM/N| >= t n.
+    requested deviation fraction t, keyed by t as read (an int or Fraction
+    as given, any other real as its float), to the fraction of trials
+    with |i - nM/N| >= t n.
     """
 
     empirical_pmf: Mapping[int, float]
@@ -137,8 +137,13 @@ def _tally(first, counts, N: int, M: int, n: int, deltas, deviations):
     for d in deltas:
         c = halfwidth_for_confidence(N, n, 0, d).halfwidth
         coverage[d] = within(c, n, True) / total
-    exceedance = {t: (total - within(Fraction(t), n * N, False)) / total for t in deviations}
+    exceedance = {t: (total - within(t, n * N, False)) / total for t in deviations}
     return coverage, exceedance
+
+
+def _values(arg) -> list:
+    """The values of an iterable other than a str or bytes, else [arg]."""
+    return list(arg) if isinstance(arg, Iterable) and not isinstance(arg, (str, bytes)) else [arg]
 
 
 def coverage_experiment(
@@ -148,21 +153,20 @@ def coverage_experiment(
     delta,
     trials: int,
     seed: int,
-    deviations: Sequence[float] = (),
+    deviations: Iterable[float] | float = (),
 ) -> SimulationReport:
     """Draw `trials` samples and report frequencies, interval coverage
     for each requested delta, and tail exceedance for each requested
-    deviation fraction t.
+    deviation fraction t.  delta and deviations are each one value or
+    an iterable of them (a str is one value, and is rejected).
 
     Coverage counts a trial when M lies in the interval built from that
     trial's observed i via halfwidth_for_confidence (exact membership,
     no rounding).  Exceedance compares |i N - n M| against t n N in
-    exact arithmetic, with t as given, so boundary outcomes are counted.
+    exact arithmetic on t as read, so boundary outcomes are counted.
     """
-    deltas = [delta] if isinstance(delta, Real) else list(delta)
-    deltas = [check_probability(d, "delta") for d in deltas]
-    for t in deviations:
-        check_positive(t, "t")
+    deltas = [check_probability(d, "delta") for d in _values(delta)]
+    deviations = [check_positive(t, "t") for t in _values(deviations)]
     config = SimulationConfig(N, M, n, trials, seed)
     if config.n < 1:
         raise DomainError("n must satisfy n >= 1 to build intervals")

@@ -306,6 +306,10 @@ class TestValidation:
             lambda: kl_upper_tail_bound((10, 7), 5, 0.0),
             lambda: best_bound(10, 0, 0.1),
             lambda: concentration_bound(10, 5, -1.0),
+            lambda: b2_tail(10, 5, True),
+            lambda: b2_tail(10, 5, "0.5"),
+            lambda: kl_upper_tail_bound((10, 7), 5, "0.1"),
+            lambda: tail_bound(10, 5, Fraction(1, 10**400)),
         ],
     )
     def test_domain_errors(self, call):

@@ -158,9 +158,19 @@ class TestExitCodes:
                  "--deviation", "1"],
                 "M must satisfy 0 <= M <= 10, got 11",
             ),
+            (
+                ["deviation", "--population", "10", "--positives", "7", "--samples", "5",
+                 "--deviation", "1e-400"],
+                "c is positive but underflows to 0.0",
+            ),
+            (
+                ["bound", "--population", "10", "--samples", "5", "--deviation", "1e-400"],
+                "t is positive but underflows to 0.0",
+            ),
         ],
         ids=["sampler-limit", "trial-limit", "beyond-float-range", "halfwidth-underflow",
-             "delta-underflow", "not-a-decimal", "bound-positives"],
+             "delta-underflow", "not-a-decimal", "bound-positives", "deviation-underflow",
+             "bound-underflow"],
     )
     def test_diagnostic_names_the_limit(self, capsys, argv, message):
         assert run(argv) == 2

@@ -520,6 +520,9 @@ class TestValidation:
             lambda: lower_tail((10, 7), 5, 2.5),
             lambda: two_sided_exact((10, 7), 5, "abc"),
             lambda: as_population((10, 7, 5)),
+            lambda: two_sided_exact((10, 7), 5, True),
+            lambda: two_sided_exact((10, 7), 5, "1/2"),
+            lambda: two_sided_exact((10, 7), 5, Fraction(1, 10**400)),
         ],
     )
     def test_domain_errors(self, call):

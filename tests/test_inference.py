@@ -266,6 +266,9 @@ class TestValidation:
             lambda: required_sample_size(10, 0.0, 1.0),
             lambda: required_sample_size(10, 0.1, 0.0),
             lambda: required_sample_size(0, 0.1, 1.0),
+            lambda: halfwidth_for_confidence(10, 5, 3, "0.05"),
+            lambda: confidence_for_halfwidth(10, 5, 3, True),
+            lambda: required_sample_size(10, "0.1", 1.0),
         ],
     )
     def test_domain_errors(self, call):

@@ -271,3 +271,14 @@ class TestValidation:
             coverage_experiment(10, 7, 5, [0.1, 1.5], trials=10, seed=1)
         with pytest.raises(DomainError):
             coverage_experiment(10, 7, 5, 0.1, trials=10, seed=1, deviations=[0.0])
+        with pytest.raises(DomainError, match="delta must be a real number"):
+            coverage_experiment(10, 4, 5, "0.05", trials=10, seed=1)
+        with pytest.raises(DomainError, match="t must be positive"):
+            coverage_experiment(10, 7, 5, 0.1, trials=10, seed=1, deviations=-0.25)
+
+    @pytest.mark.parametrize("t", [0.25, Fraction(1, 4)])
+    def test_experiment_reads_a_single_deviation_as_a_list(self, t):
+        one = coverage_experiment(10, 7, 5, 0.1, trials=200, seed=3, deviations=t)
+        for many in ([t], iter([t])):
+            assert one == coverage_experiment(10, 7, 5, 0.1, trials=200, seed=3, deviations=many)
+        assert one.tail_exceedance.keys() == {t}

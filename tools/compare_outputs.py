@@ -44,11 +44,15 @@ FORMATS = ("json", "text", "csv")
 SHOWN = 20
 
 #: argvs beside the workload's: a `bound` with an M outside 0..N under a
-#: family other than KL.
+#: family other than KL, and a `deviation` and a `bound` whose deviation
+#: underflows to 0.0 as a float.
 EXTRA_ARGV = (
     ["bound", "--population", "10", "--positives", "11", "--samples", "5", "--deviation", "1"],
     ["bound", "--population", "10", "--positives", "-3", "--samples", "5", "--deviation", "1",
      "--family", "b2"],
+    ["deviation", "--population", "10", "--positives", "7", "--samples", "5",
+     "--deviation", "1e-400"],
+    ["bound", "--population", "10", "--samples", "5", "--deviation", "1e-400"],
 )
 
 
