@@ -5,7 +5,9 @@ Every subcommand prints one output record in text, JSON, or CSV form
 echoes the parsed inputs, reports results as decimal strings at the
 requested significant-digit precision (--digits), tags them with the
 formula or family that produced them, and lists any warnings.  JSON
-records validate against schemas/output_record.schema.json.
+records validate against schemas/output_record.schema.json.  Handlers
+return the library's values, with strings only for what must not be
+rounded (exact rationals, n_required); `run` renders every number.
 
 Options are declared once: `_OPTIONS` holds each option's argparse
 settings, and `_COMMANDS` lists each subcommand's handler, help text
@@ -46,29 +48,22 @@ FORMAT_ENV_VAR = "HYPERTAIL_FORMAT"
 DEFAULT_DIGITS = 6
 
 
-def _fmt(value, digits: int) -> str:
-    return f"{float(value):.{digits}g}"
-
-
-def _prob_results(res: exact.ExactProb, digits: int):
-    results = {"probability": _fmt(float(res), digits)}
+def _prob_results(res: exact.ExactProb):
+    results = {"probability": res.value}
     if res.is_exact:
         results["probability_exact"] = str(res.value)
-    results["log_probability"] = _fmt(res.log_value, digits)
+    results["log_probability"] = res.log_value
     labels = {"mode": "rational" if res.is_exact else "log"}
     return results, labels, []
 
 
-def _interval_results(r: inference.IntervalResult, digits: int, prefix: str = ""):
-    results = {
-        prefix + "estimate": _fmt(r.estimate, digits),
-        prefix + "halfwidth": _fmt(r.halfwidth, digits),
-        prefix + "delta": _fmt(r.delta, digits),
-        prefix + "lower": _fmt(r.lower, digits),
-        prefix + "upper": _fmt(r.upper, digits),
-        prefix + "clamped_lower": _fmt(r.clamped_lower, digits),
-        prefix + "clamped_upper": _fmt(r.clamped_upper, digits),
-    }
+_INTERVAL_FIELDS = (
+    "estimate", "halfwidth", "delta", "lower", "upper", "clamped_lower", "clamped_upper"
+)
+
+
+def _interval_results(r: inference.IntervalResult, prefix: str = ""):
+    results = {prefix + name: getattr(r, name) for name in _INTERVAL_FIELDS}
     if not prefix:
         results["estimate_exact"] = str(r.estimate)
     return results
@@ -93,39 +88,35 @@ def _halfwidth(args) -> Fraction:
     return args.halfwidth_percent * args.population / 100
 
 
-def _cmd_pmf(args, digits):
+def _cmd_pmf(args):
     res = exact.pmf(
         (args.population, args.positives), args.samples, args.observed, mode=args.mode
     )
-    return _prob_results(res, digits)
+    return _prob_results(res)
 
 
-def _cmd_tail(args, digits):
+def _cmd_tail(args):
     op = exact.lower_tail if args.side == "lower" else exact.upper_tail
     res = op((args.population, args.positives), args.samples, args.threshold, mode=args.mode)
-    results, labels, warnings = _prob_results(res, digits)
+    results, labels, warnings = _prob_results(res)
     labels["side"] = args.side
     return results, labels, warnings
 
 
-def _cmd_deviation(args, digits):
+def _cmd_deviation(args):
     res = exact.two_sided_exact(
         (args.population, args.positives), args.samples, args.deviation, mode=args.mode
     )
-    return _prob_results(res, digits)
+    return _prob_results(res)
 
 
-def _cmd_bound(args, digits):
+def _cmd_bound(args):
     check_range(args.samples, "samples", 1)
     t = args.deviation / args.samples
     family = bounds.BoundFamily(args.family)
     bound = bounds.concentration_bound if args.two_sided else bounds.tail_bound
     res = bound(args.population, args.samples, t, family, M=args.positives)
-    results = {
-        "value": _fmt(res.value, digits),
-        "exponent": _fmt(res.exponent, digits),
-        "fraction": _fmt(t, digits),
-    }
+    results = {"value": res.value, "exponent": res.exponent, "fraction": t}
     labels = {
         "family": res.family_used.value,
         "two_sided": "true" if res.two_sided else "false",
@@ -145,52 +136,52 @@ def _clamp_warnings(r: inference.IntervalResult) -> list:
     return warnings
 
 
-def _cmd_ci(args, digits):
+def _cmd_ci(args):
     r = inference.halfwidth_for_confidence(
         args.population, args.samples, args.observed, args.delta
     )
-    results = _interval_results(r, digits)
+    results = _interval_results(r)
     labels = {"formula": r.formula}
     if args.compare:
         legacy = inference.b1_halfwidth_for_confidence(
             args.population, args.samples, args.observed, args.delta
         )
-        results.update(_interval_results(legacy, digits, prefix="legacy_"))
+        results.update(_interval_results(legacy, prefix="legacy_"))
         labels["legacy_formula"] = legacy.formula
     return results, labels, _clamp_warnings(r)
 
 
-def _cmd_confidence(args, digits):
+def _cmd_confidence(args):
     c = _halfwidth(args)
     r = inference.confidence_for_halfwidth(
         args.population, args.samples, args.observed, c
     )
-    results = _interval_results(r, digits)
+    results = _interval_results(r)
     labels = {"formula": r.formula}
     warnings = _clamp_warnings(r)
     if args.compare:
         legacy = inference.b1_confidence_for_halfwidth(
             args.population, args.samples, args.observed, c
         )
-        results["legacy_delta"] = _fmt(legacy.delta, digits)
+        results["legacy_delta"] = legacy.delta
         labels["legacy_formula"] = legacy.formula
         if legacy.vacuous:
             warnings.append("legacy confidence bound is vacuous (delta clamped to 1)")
     return results, labels, warnings
 
 
-def _cmd_samplesize(args, digits):
+def _cmd_samplesize(args):
     c = _halfwidth(args)
     r = inference.required_sample_size(args.population, args.delta, c)
     estimate = inference.sample_size_lower_estimate(args.population, args.delta, c)
     results = {
         "n_required": str(r.n_required),
-        "n_real": _fmt(r.n_real, digits),
-        "halfwidth": _fmt(c, digits),
-        "x": _fmt(r.x, digits),
-        "y": _fmt(r.y, digits),
-        "regime_boundary": _fmt(r.regime_boundary, digits),
-        "lower_estimate": _fmt(estimate, digits),
+        "n_real": r.n_real,
+        "halfwidth": c,
+        "x": r.x,
+        "y": r.y,
+        "regime_boundary": r.regime_boundary,
+        "lower_estimate": estimate,
     }
     return results, {"regime": r.regime}, []
 
@@ -204,7 +195,7 @@ def _named(values, flag) -> dict:
     return named
 
 
-def _cmd_simulate(args, digits):
+def _cmd_simulate(args):
     deltas = _named(args.delta, "delta")
     deviations = _named(args.deviation, "deviation")
     check_range(args.samples, "samples", 1)
@@ -220,11 +211,11 @@ def _cmd_simulate(args, digits):
     )
     results = {}
     for i, freq in sorted(report.empirical_pmf.items()):
-        results[f"frequency_{i}"] = _fmt(freq, digits)
+        results[f"frequency_{i}"] = freq
     for name, d in deltas.items():
-        results[f"coverage_{name}"] = _fmt(report.empirical_coverage[float(d)], digits)
+        results[f"coverage_{name}"] = report.empirical_coverage[float(d)]
     for name, t in fractions.items():
-        results[f"exceedance_{name}"] = _fmt(report.tail_exceedance[t], digits)
+        results[f"exceedance_{name}"] = report.tail_exceedance[t]
     return results, {}, []
 
 
@@ -403,14 +394,17 @@ def run(argv=None) -> int:
     try:
         if args.digits < 1 or args.digits > 17:
             raise DomainError(f"digits must lie in 1..17, got {args.digits}")
-        results, labels, warnings = _COMMANDS[args.command][0](args, args.digits)
+        results, labels, warnings = _COMMANDS[args.command][0](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     record = {
         "command": args.command,
         "inputs": _echo(args),
-        "results": results,
+        "results": {
+            key: v if isinstance(v, str) else f"{float(v):.{args.digits}g}"
+            for key, v in results.items()
+        },
         "labels": labels,
         "warnings": warnings,
         "digits": args.digits,
