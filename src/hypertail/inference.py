@@ -201,12 +201,13 @@ class SampleSizeResult:
 def _plan_inputs(N, delta, c):
     N = check_range(N, "N", 1)
     delta = check_probability(delta, "delta")
-    c = float(check_positive(c, "c"))
+    c = check_positive(c, "c")  # compared exactly, then rounded
     if c >= N:
         raise DomainError(
-            f"c must satisfy c < N = {N}, got {c}; the interval already "
+            f"c must satisfy c < N = {N}, got {float(c)}; the interval already "
             "covers every possible M, so n = 0 samples suffice"
         )
+    c = float(c)
     # A product, not a power: x may overflow to inf, which _size_ratio
     # takes as a census.
     x = (N / c) * (N / c)

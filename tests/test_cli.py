@@ -228,6 +228,14 @@ class TestFormats:
     def test_digits_control_precision(self, capsys):
         assert run(PMF_ARGS + ["--digits", "12"]) == 0
         assert "0.416666666667" in capsys.readouterr().out
+        # Numbers are rounded; exact rationals and integer counts are not.
+        results = run_json(capsys, PMF_ARGS + ["--digits", "1"])["results"]
+        assert results["probability"] == "0.4"
+        assert results["probability_exact"] == "5/12"
+        argv = ["samplesize", "--population", "100", "--delta", "0.05", "--halfwidth", "5"]
+        results = run_json(capsys, argv + ["--digits", "1"])["results"]
+        assert results["n_required"] == "89"
+        assert results["x"] == "4e+02"
 
     def test_environment_variable_sets_format(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERTAIL_FORMAT", "json")

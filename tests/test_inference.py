@@ -278,3 +278,13 @@ class TestValidation:
     def test_oversized_halfwidth_needs_no_samples(self):
         with pytest.raises(DomainError, match="n = 0 samples"):
             required_sample_size(10, 0.1, 10)
+
+    def test_halfwidth_just_below_a_huge_population_is_compared_exactly(self):
+        # Above 2^53 both c's round to float(N); the test c < N must not.
+        N = 10**17
+        for c in (N - 1, Fraction(2 * N - 1, 2)):
+            assert required_sample_size(N, 0.05, c).n_required == 2
+            assert 0 < sample_size_lower_estimate(N, 0.05, c) <= 2
+        for plan in (required_sample_size, sample_size_lower_estimate):
+            with pytest.raises(DomainError, match="n = 0 samples"):
+                plan(N, 0.05, N)

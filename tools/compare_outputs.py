@@ -15,15 +15,16 @@ line.  It covers:
 - 3,000 seeded log-path calls of all four at N from 10^5 to 10^8;
 - the two `RATIONAL_BUDGET`-edge calls, about a second each;
 - every `cli_oneshot(seed)` argv of `bench/workloads.py` for seeds 1-10
-  in json, text and csv (stdout, stderr and exit code), and a `bound`
-  with an M outside 0..N under a non-KL family;
+  and the `EXTRA_ARGV` below, in json, text and csv, at --digits 12 and
+  at --digits 1, where a rounded integer or exact string would show
+  (stdout, stderr and exit code);
 - `coverage_experiment` over `simulate(seed)`'s operations, seeds 1-10.
 
 Each record is the call, the value's type, the value and its log, or the
 error raised.  The workload lists come from this checkout's `bench/`,
 which the sweep only reads.  Prints the number of records per section,
 the first differences, and exits 1 if there are any.  The two processes
-run side by side; on two cores (Python 3.11) the sweep takes about 50 s.
+run side by side; on two cores (Python 3.11) the sweep takes 40-50 s.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 11)
 FORMATS = ("json", "text", "csv")
+DIGITS = ("12", "1")
 SHOWN = 20
 
 #: argvs beside the workload's: a `bound` with an M outside 0..N under a
-#: family other than KL, and a `deviation` and a `bound` whose deviation
-#: underflows to 0.0 as a float.
+#: family other than KL, a `deviation` and a `bound` whose deviation
+#: underflows to 0.0 as a float, and a `samplesize` whose half-width lies
+#: just below an N above 2^53.
 EXTRA_ARGV = (
     ["bound", "--population", "10", "--positives", "11", "--samples", "5", "--deviation", "1"],
     ["bound", "--population", "10", "--positives", "-3", "--samples", "5", "--deviation", "1",
@@ -53,6 +56,8 @@ EXTRA_ARGV = (
     ["deviation", "--population", "10", "--positives", "7", "--samples", "5",
      "--deviation", "1e-400"],
     ["bound", "--population", "10", "--samples", "5", "--deviation", "1e-400"],
+    ["samplesize", "--population", "100000000000000000", "--delta", "0.05",
+     "--halfwidth", "99999999999999999"],
 )
 
 
@@ -109,8 +114,8 @@ def _cli(h, workloads):
     import hypertail.cli
 
     argvs = [op.args[0][:-4] for seed in SEEDS for op in workloads.cli_oneshot(seed)]
-    for argv, fmt in itertools.product(argvs + list(EXTRA_ARGV), FORMATS):
-        argv = argv + ["--format", fmt, "--digits", "12"]
+    for argv, fmt, digits in itertools.product(argvs + list(EXTRA_ARGV), FORMATS, DIGITS):
+        argv = argv + ["--format", fmt, "--digits", digits]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = hypertail.cli.run(argv)
