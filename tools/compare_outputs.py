@@ -18,7 +18,10 @@ line.  It covers:
   and the `EXTRA_ARGV` below, in json, text and csv, at --digits 12 and
   at --digits 1, where a rounded integer or exact string would show
   (stdout, stderr and exit code);
-- `coverage_experiment` over `simulate(seed)`'s operations, seeds 1-10.
+- `coverage_experiment` over `simulate(seed)`'s operations, seeds 1-10;
+- `coverage_experiment` and a digest of `draw_without_replacement` (the
+  sha256 of the counts and their sum) at 2 * BLOCK + 7 trials, three
+  blocks, for seeds 1-3 and three populations up to n = 10^7.
 
 Each record is the call, the value's type, the value and its log, or the
 error raised.  The workload lists come from this checkout's `bench/`,
@@ -30,6 +33,7 @@ run side by side; on two cores (Python 3.11) the sweep takes 40-50 s.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -59,6 +63,9 @@ EXTRA_ARGV = (
     ["samplesize", "--population", "100000000000000000", "--delta", "0.05",
      "--halfwidth", "99999999999999999"],
 )
+
+#: populations (N, M, n) for the runs of more than one block.
+MULTI_BLOCK_POPULATIONS = ((60, 24, 30), (1000, 400, 500), (4 * 10**7, 2 * 10**7, 10**7))
 
 
 def _prob(call, *args, **kwargs) -> str:
@@ -128,6 +135,20 @@ def _simulate(h, workloads):
             yield f"{seed} {op.name}", repr(h.coverage_experiment(*op.args, **op.kwargs))
 
 
+def _simulate_blocks(h):
+    """Runs of three blocks, the last one short, so that the seeding and
+    merging of blocks after the first shows."""
+    from hypertail.montecarlo import BLOCK
+
+    trials = 2 * BLOCK + 7
+    for seed, (N, M, n) in itertools.product((1, 2, 3), MULTI_BLOCK_POPULATIONS):
+        key = f"{seed} ({N}, {M}, {n}) {trials}"
+        yield f"coverage {key}", repr(h.coverage_experiment(
+            N, M, n, (0.05, Fraction(1, 5)), trials, seed, (Fraction(1, 10**4), 0.01, 0.1)))
+        counts = h.draw_without_replacement(h.SimulationConfig(N, M, n, trials, seed))
+        yield f"draw {key}", f"{hashlib.sha256(counts.tobytes()).hexdigest()} {counts.sum()}"
+
+
 SECTIONS = {
     "exact-small": _exact_small,
     "two-sided-small": _two_sided_small,
@@ -135,6 +156,7 @@ SECTIONS = {
     "budget-edge": _budget_edge,
     "cli": _cli,
     "simulate": _simulate,
+    "simulate-blocks": _simulate_blocks,
 }
 
 
