@@ -3,12 +3,12 @@
 Each trial draws n individuals without replacement from a population of
 N with M positives and records the positive count i.  Block b of BLOCK
 trials is one call to numpy's hypergeometric sampler on child b of
-SeedSequence(seed), so it is a pure function of (seed, b): blocks can
-run serially or in parallel, in any order, with the same outcomes, a
-run of T trials is a prefix of every longer run, and every report is
-reproducible from (config, seed) alone.  The tally counts each block as
-it is drawn, over the span of outcomes it drew, so its memory grows with
-neither the trial count nor n.
+SeedSequence(seed), built as SeedSequence(seed, spawn_key=(b,)), so it
+is a pure function of (seed, b): blocks can run in any order with the
+same outcomes, a run of T trials is a prefix of every longer run, and
+every report is reproducible from (config, seed) alone.  The tally
+counts each block as it is drawn, over the span of outcomes it drew, so
+its memory grows with neither the trial count nor n.
 
 numpy is imported by the functions that draw, not with the module, so
 `import hypertail` and every command but `simulate` run without it.
@@ -76,14 +76,12 @@ class SimulationReport:
 
 
 def _blocks(config: SimulationConfig):
-    """Block b's positive counts, drawn from child b of SeedSequence(seed)."""
+    """Block b's positive counts, from child b: SeedSequence(seed, spawn_key=(b,))."""
     import numpy as np
 
     N, M, n, trials = config.N, config.M, config.n, config.trials
-    root = np.random.SeedSequence(config.seed)
-    for start in range(0, trials, BLOCK):
-        child = root.spawn(1)[0]  # children come in turn: b = start / BLOCK
-        rng = np.random.default_rng(child)
+    for b, start in enumerate(range(0, trials, BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(b,)))
         yield rng.hypergeometric(M, N - M, n, size=min(BLOCK, trials - start))
 
 
@@ -125,13 +123,11 @@ def _tally(first, counts, N: int, M: int, n: int, deltas, deviations):
     where c depends on N, n and delta alone, and a trial exceeds t
     outside the open range |iN - nM| < tnN (`exact._outcome_range`).
     """
-    cum = [0, *counts.cumsum().tolist()]  # cum[j]: trials with i < first + j
-    total, last = cum[-1], len(cum) - 1
+    total = int(counts.sum())
 
     def within(w, scale, closed):
         lo, hi = _outcome_range(N, M, n, w, scale, closed)
-        lo, hi = max(lo - first, 0), min(hi + 1 - first, last)
-        return cum[hi] - cum[lo] if lo < hi else 0
+        return int(counts[max(lo - first, 0) : max(hi + 1 - first, 0)].sum())
 
     coverage = {}
     for d in deltas:
@@ -170,11 +166,7 @@ def coverage_experiment(
     config = SimulationConfig(N, M, n, trials, seed)
     if config.n < 1:
         raise DomainError("n must satisfy n >= 1 to build intervals")
-    import numpy as np
-
     first, counts = reduce(_merge, map(_span, _blocks(config)))
-    observed = np.flatnonzero(counts)
-    frequencies = (counts[observed] / config.trials).tolist()
-    empirical_pmf = dict(zip((observed + first).tolist(), frequencies))
+    empirical_pmf = {first + j: c / config.trials for j, c in enumerate(counts.tolist()) if c}
     coverage, exceedance = _tally(first, counts, config.N, config.M, config.n, deltas, deviations)
     return SimulationReport(empirical_pmf, coverage, exceedance)

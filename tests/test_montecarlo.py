@@ -69,8 +69,12 @@ class TestDraws:
         assert np.array_equal(counts, draw_without_replacement(config))
         short = draw_without_replacement(SimulationConfig(1000, 400, 500, 100, 3))
         assert np.array_equal(short, counts[:100])
-        # The second block has its own child seed, not the first one's.
+        # The second block has its own child seed, not the first one's:
+        # child 1 of SeedSequence(seed).
         assert not np.array_equal(counts[:7], counts[BLOCK:])
+        child = np.random.SeedSequence(3).spawn(2)[1]
+        expected = np.random.default_rng(child).hypergeometric(400, 600, 500, size=7)
+        assert np.array_equal(counts[BLOCK:], expected)
 
     def test_tally_reads_the_drawn_stream(self):
         config = SimulationConfig(60, 24, 30, trials=2 * BLOCK + 7, seed=SEED)
