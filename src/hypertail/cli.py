@@ -22,7 +22,8 @@ bound subcommand's deviation fraction t = deviation / samples is an
 exact ratio, a percentage half-width percent * N / 100 is rounded to
 float once, inside the library, and the library decides the sign of a
 value before rounding it.  A decimal beyond the float range is
-rejected, because the record echoes every input as a float.
+rejected, because the library checks every real by its float, which
+must be finite.
 
 Exit codes: 0 on success, 2 on a domain or usage error with a
 diagnostic naming the violated constraint.
@@ -288,13 +289,18 @@ _COMMANDS = {
 
 def _echo(args) -> dict:
     """The record's echo of its inputs: the command's options in table
-    order, decimals as floats, and only the either/or option given."""
+    order, only the either/or option given, and a decimal as its float
+    where that reads back to it, else exactly (repeatable ones as floats)."""
     inputs = {}
     for spec in _COMMANDS[args.command][2].split():
         for name in spec.rstrip("?*").split("|"):
             value = getattr(args, name)
             if spec.endswith("*"):
                 inputs[name] = [float(v) for v in value or []]
+            elif isinstance(value, Fraction) and Fraction(repr(float(value))) != value:
+                d = value.denominator  # 2^a 5^b, a factor of 10^k for k >= max(a, b)
+                k = next(k for k in range(d.bit_length()) if 10**k % d == 0)
+                inputs[name] = f"{value * 10**k}e-{k}" if k else int(value)
             elif "|" not in spec or value is not None:
                 inputs[name] = float(value) if isinstance(value, Fraction) else value
     return inputs

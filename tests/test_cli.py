@@ -420,6 +420,11 @@ class TestSchemaAndRoundTrip:
                 "--population", "100", "--delta", "0.05", "--halfwidth-percent", "5",
             ],
             [
+                "samplesize",
+                "--population", "100000000000000000", "--delta", "0.05",
+                "--halfwidth", "99999999999999999",
+            ],
+            [
                 "simulate",
                 "--population", "10", "--positives", "7", "--samples", "5",
                 "--trials", "400", "--seed", "42",
@@ -429,7 +434,7 @@ class TestSchemaAndRoundTrip:
         ids=[
             "pmf", "pmf-log", "tail", "deviation", "bound-two-sided",
             "bound-kl", "ci-compare", "confidence", "confidence-percent",
-            "samplesize", "samplesize-percent", "simulate",
+            "samplesize", "samplesize-percent", "samplesize-beyond-2^53", "simulate",
         ],
     )
     def test_record_validates_and_inputs_reproduce_it(self, capsys, argv):
