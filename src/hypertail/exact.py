@@ -308,8 +308,9 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     pop, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
     lo, hi = _support(pop.N, M, n)
-    rational = _resolve_rational(pop.N, n, (1,), mode)
-    part = _sum_walk(pop.N, n, (False, M, i, 1 if lo <= i <= hi else 0), rational)
+    terms = 1 if lo <= i <= hi else 0
+    rational = _resolve_rational(pop.N, n, (terms,), mode)
+    part = _sum_walk(pop.N, n, (False, M, i, terms), rational)
     return ExactProb.from_rational(part) if rational else ExactProb.from_log(part)
 
 

@@ -310,6 +310,7 @@ class TestValidation:
             lambda: b2_tail(10, 5, "0.5"),
             lambda: kl_upper_tail_bound((10, 7), 5, "0.1"),
             lambda: tail_bound(10, 5, Fraction(1, 10**400)),
+            lambda: b2_tail(10, 5, None),
         ],
     )
     def test_domain_errors(self, call):
