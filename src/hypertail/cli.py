@@ -22,8 +22,7 @@ bound subcommand's deviation fraction t = deviation / samples is an
 exact ratio, a percentage half-width percent * N / 100 is rounded to
 float once, inside the library, and the library decides the sign of a
 value before rounding it.  A decimal beyond the float range is
-rejected, because the library checks every real by its float, which
-must be finite.
+rejected, as the library needs every real to have a finite float.
 
 Exit codes: 0 on success, 2 on a domain or usage error with a
 diagnostic naming the violated constraint.
