@@ -26,7 +26,8 @@ line.  It covers:
 Each record is the call, the value's type, the value and its log, or the
 error raised.  The workload lists come from this checkout's `bench/`,
 which the sweep only reads.  Prints the number of records per section,
-the first differences, and exits 1 if there are any.  The two processes
+the first differences (the head and tail of a long record), and exits 1
+if there are any.  The two processes
 run side by side; on two cores (Python 3.11) the sweep takes 40-50 s.
 """
 
@@ -48,6 +49,7 @@ SEEDS = range(1, 11)
 FORMATS = ("json", "text", "csv")
 DIGITS = ("12", "1")
 SHOWN = 20
+WIDTH = 400  # characters shown of a differing record; a report at n = 10^7 has 256 KB
 
 #: argvs beside the workload's: a `bound` with an M outside 0..N under a
 #: family other than KL, a `deviation` and a `bound` whose deviation
@@ -181,6 +183,14 @@ def _start(checkout: Path) -> subprocess.Popen:
     return subprocess.Popen(command, env=env, cwd=checkout, stdout=subprocess.PIPE, text=True)
 
 
+def _shown(record: str | None) -> str:
+    """A differing record for the report: its head and tail if it is long."""
+    record = (record or "nothing").rstrip("\n")
+    if len(record) <= WIDTH:
+        return record
+    return f"{record[:WIDTH // 2]} ... {record[-WIDTH // 2:]}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         _emit(argv[1])
@@ -196,7 +206,7 @@ def main(argv: list[str]) -> int:
         if old != new:
             differences += 1
             if differences <= SHOWN:
-                print(f"- {old or 'nothing' + chr(10)}+ {new or 'nothing' + chr(10)}", end="")
+                print(f"- {_shown(old)}\n+ {_shown(new)}")
     if parent.wait() or change.wait():
         print("error: a sweep process failed", file=sys.stderr)
         return 2
