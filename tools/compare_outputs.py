@@ -14,6 +14,10 @@ line.  It covers:
   six deviations c;
 - 3,000 seeded log-path calls of all four at N from 10^5 to 10^8;
 - the two `RATIONAL_BUDGET`-edge calls, about a second each;
+- all four in "auto" at N = RATIONAL_LIMIT, RATIONAL_LIMIT + 1 and 10^8,
+  for M in {0, 10, N - 10} and n in {5, 5 * 10^5}: the tails at k in
+  {-1, 0, 1, 10, 11, n, n + 1}, the pmf at those k in 0..n and
+  `two_sided_exact` at c in {0.5, 3.5, 10^9};
 - every `cli_oneshot(seed)` argv of `bench/workloads.py` for seeds 1-10
   and the `EXTRA_ARGV` below, in json, text and csv, at --digits 12 and
   at --digits 1, where a rounded integer or exact string would show
@@ -53,8 +57,9 @@ WIDTH = 400  # characters shown of a differing record; a report at n = 10^7 has 
 
 #: argvs beside the workload's: a `bound` with an M outside 0..N under a
 #: family other than KL, a `deviation` and a `bound` whose deviation
-#: underflows to 0.0 as a float, and a `samplesize` whose half-width lies
-#: just below an N above 2^53.
+#: underflows to 0.0 as a float, a `samplesize` whose half-width lies
+#: just below an N above 2^53, and a `tail` that sums nothing at an N
+#: above RATIONAL_LIMIT.
 EXTRA_ARGV = (
     ["bound", "--population", "10", "--positives", "11", "--samples", "5", "--deviation", "1"],
     ["bound", "--population", "10", "--positives", "-3", "--samples", "5", "--deviation", "1",
@@ -64,6 +69,8 @@ EXTRA_ARGV = (
     ["bound", "--population", "10", "--samples", "5", "--deviation", "1e-400"],
     ["samplesize", "--population", "100000000000000000", "--delta", "0.05",
      "--halfwidth", "99999999999999999"],
+    ["tail", "--population", "1000001", "--positives", "10", "--samples", "5",
+     "--threshold", "6", "--side", "upper"],
 )
 
 #: populations (N, M, n) for the runs of more than one block.
@@ -119,6 +126,20 @@ def _budget_edge(h):
     yield "lower_tail", _prob(h.lower_tail, (10**5, 5 * 10**4), 5 * 10**4, 2 * 10**4)
 
 
+def _auto_large(h):
+    """"auto" around RATIONAL_LIMIT, where its rule picks the path, including
+    the calls that sum nothing."""
+    for N in (h.RATIONAL_LIMIT, h.RATIONAL_LIMIT + 1, 10**8):
+        for M, n in itertools.product((0, 10, N - 10), (5, 5 * 10**5)):
+            for k, name in itertools.product((-1, 0, 1, 10, 11, n, n + 1),
+                                             ("pmf", "lower_tail", "upper_tail")):
+                if name != "pmf" or 0 <= k <= n:
+                    yield f"{name}({N}, {M}), {n}, {k}", _prob(getattr(h, name), (N, M), n, k)
+            for c in (0.5, 3.5, 10**9):
+                yield f"two_sided_exact({N}, {M}), {n}, {c!r}", _prob(
+                    h.two_sided_exact, (N, M), n, c)
+
+
 def _cli(h, workloads):
     import hypertail.cli
 
@@ -156,6 +177,7 @@ SECTIONS = {
     "two-sided-small": _two_sided_small,
     "log-path": _log_path,
     "budget-edge": _budget_edge,
+    "auto-large": _auto_large,
     "cli": _cli,
     "simulate": _simulate,
     "simulate-blocks": _simulate_blocks,
