@@ -42,7 +42,9 @@ relative wherever it is a normal double, up to N = 10^8.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,18 +151,6 @@ def as_population(pop) -> Population:
     return Population(pop)
 
 
-def _resolve_rational(N: int, n: int, walks, mode: str) -> bool:
-    """Whether to evaluate in rationals; "auto" prices the walks first."""
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode != "auto":
-        return mode == "rational"
-    if N > RATIONAL_LIMIT:
-        return False
-    bits = (math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)) / math.log(2)
-    return sum(bits * (terms + bits / 16) for terms in walks if terms) <= RATIONAL_BUDGET
-
-
 def _support(N: int, M: int, n: int) -> tuple[int, int]:
     return max(0, n - (N - M)), min(n, M)
 
@@ -236,13 +226,9 @@ def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
 
 
 def _sum_walk(N: int, n: int, walk, rational: bool) -> Fraction | float:
-    """A tail (or the pmf) from its walk of r(i) = h(i + 1) / h(i) = (M - i)(n - i)
-    / ((i + 1)(N - M - n + i + 1)): a Fraction, or a log."""
+    """A tail (or the pmf) from its walk of one or more terms of r(i) = h(i + 1) / h(i)
+    = (M - i)(n - i) / ((i + 1)(N - M - n + i + 1)): a Fraction, or a log."""
     flip, M, k, terms = walk
-    if not terms:
-        if rational:
-            return Fraction(int(flip))
-        return 0.0 if flip else float("-inf")
     if rational:
         term = total = math.comb(M, k) * math.comb(N - M, n - k)
         for i in range(k, k + terms - 1):
@@ -281,6 +267,25 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
+    """The sum of the walks' tails as one ExactProb.  A walk of no terms is
+    set aside as an exact 0, or 1 when flipped; "auto" prices the others
+    (module docstring) to take one path for all of them."""
+    if mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
+    summed = [walk for walk in walks if walk[3]]
+    aside = sum(walk[0] for walk in walks if not walk[3])
+    rational = mode == "rational"
+    if mode == "auto" and N <= RATIONAL_LIMIT:
+        bits = (math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)) / math.log(2)
+        rational = sum(bits * (walk[3] + bits / 16) for walk in summed) <= RATIONAL_BUDGET
+    parts = [_sum_walk(N, n, walk, rational) for walk in summed]
+    if aside or not parts:
+        parts.append(Fraction(aside) if rational else 0.0 if aside else float("-inf"))
+    total = functools.reduce(operator.add if rational else _log_add, parts)
+    return ExactProb.from_rational(total) if rational else ExactProb.from_log(total)
+
+
 def _check_sample(pop, n) -> tuple[Population, int, int]:
     """The population, its required positive count M, and 0 <= n <= N."""
     pop = as_population(pop)
@@ -288,14 +293,8 @@ def _check_sample(pop, n) -> tuple[Population, int, int]:
 
 
 def _outside(N: int, M: int, n: int, lo: int, hi: int, mode: str) -> ExactProb:
-    """P[i < lo] + P[i > hi], both walks priced at once so that "auto" takes one
-    path.  A zero part, as a one-sided tail has, is kept out of the slow Fraction sum."""
-    down, up = _walk(N, N - M, n, n - lo + 1), _walk(N, M, n, hi + 1)
-    rational = _resolve_rational(N, n, (down[3], up[3]), mode)
-    low, high = _sum_walk(N, n, down, rational), _sum_walk(N, n, up, rational)
-    if rational:
-        return ExactProb.from_rational(low + high if low and high else low or high)
-    return ExactProb.from_log(_log_add(low, high))
+    """P[i < lo] + P[i > hi], both walks priced at once so that "auto" takes one path."""
+    return _priced(N, n, (_walk(N, N - M, n, n - lo + 1), _walk(N, M, n, hi + 1)), mode)
 
 
 def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
@@ -308,10 +307,7 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     pop, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
     lo, hi = _support(pop.N, M, n)
-    terms = 1 if lo <= i <= hi else 0
-    rational = _resolve_rational(pop.N, n, (terms,), mode)
-    part = _sum_walk(pop.N, n, (False, M, i, terms), rational)
-    return ExactProb.from_rational(part) if rational else ExactProb.from_log(part)
+    return _priced(pop.N, n, [(False, M, i, int(lo <= i <= hi))], mode)
 
 
 def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:

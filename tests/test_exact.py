@@ -526,6 +526,9 @@ class TestValidation:
             lambda: two_sided_exact((10, 7), 5, True),
             lambda: two_sided_exact((10, 7), 5, "1/2"),
             lambda: two_sided_exact((10, 7), 5, Fraction(1, 10**400)),
+            # No terms to walk: the mode is checked before the exact 0 or 1.
+            lambda: upper_tail((10, 7), 5, 0, mode="fast"),
+            lambda: pmf((10, 7), 5, 1, mode="fast"),
         ],
     )
     def test_domain_errors(self, call):
