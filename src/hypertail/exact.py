@@ -276,7 +276,7 @@ def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
     summed = [walk for walk in walks if walk[3]]
     aside = sum(walk[0] for walk in walks if not walk[3])
     rational = mode == "rational"
-    if mode == "auto" and N <= RATIONAL_LIMIT:
+    if mode == "auto" and (N <= RATIONAL_LIMIT or not summed):
         bits = (math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)) / math.log(2)
         rational = sum(bits * (walk[3] + bits / 16) for walk in summed) <= RATIONAL_BUDGET
     parts = [_sum_walk(N, n, walk, rational) for walk in summed]

@@ -460,6 +460,19 @@ class TestAutoPrice:
             (two_sided_exact(pop, n, 10**6), 0),
         ]:
             assert res.is_exact and res.value == value
+        # The same above RATIONAL_LIMIT, where a walk with terms takes the
+        # log path; M = 10 leaves outcomes 11..n outside the support.
+        for N in (RATIONAL_LIMIT + 1, 10**8):
+            pop, n = (N, 10), 5 * 10**5
+            for res, value in [
+                (upper_tail(pop, n, 0), 1),
+                (upper_tail(pop, n, 11), 0),
+                (lower_tail(pop, n, -1), 0),
+                (lower_tail(pop, n, n), 1),
+                (pmf(pop, n, 11), 0),
+                (two_sided_exact(pop, n, 10**9), 0),
+            ]:
+                assert res.is_exact and res.value == value
 
     def test_two_sided_prices_both_walks_at_once(self):
         # Each walk is about 9,850 terms of C(10^5, 5*10^4), 1.6*10^9
