@@ -259,12 +259,8 @@ def _outcome_range(N: int, M: int, n: int, w, scale: int, closed: bool) -> tuple
 
 
 def _log_add(a: float, b: float) -> float:
-    if a == float("-inf"):
-        return b
-    if b == float("-inf"):
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == float("-inf") else hi + math.log1p(math.exp(lo - hi))
 
 
 def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
@@ -273,8 +269,12 @@ def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
     (module docstring) to take one path for all of them."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    summed = [walk for walk in walks if walk[3]]
-    aside = sum(walk[0] for walk in walks if not walk[3])
+    summed, aside = [], 0
+    for walk in walks:
+        if walk[3]:
+            summed.append(walk)
+        else:
+            aside += walk[0]
     rational = mode == "rational"
     if mode == "auto" and (N <= RATIONAL_LIMIT or not summed):
         bits = (math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)) / math.log(2)
