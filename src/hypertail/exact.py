@@ -11,19 +11,20 @@ with the convention C(x, y) = 0 for y > x or y < 0.
 Every probability is produced in two forms at once: an arbitrary
 precision rational (`fractions.Fraction`) and its natural logarithm.
 `mode="rational"` and `mode="log"` force one path; `mode="auto"` (the
-default) takes the rational one when N <= RATIONAL_LIMIT and its price,
-the bit-length of C(N, n) times (the terms walked + bits / 16 for the
-binomial coefficients), is within RATIONAL_BUDGET.
+default) takes the rational one at any N when nothing is summed, and
+otherwise when N <= RATIONAL_LIMIT and the price, the bit-length of
+C(N, n) times (the terms walked + bits / 16 for the binomial
+coefficients), is within RATIONAL_BUDGET.
 
-Every tail and deviation is one priced call for P[i < lo] + P[i > hi],
-the probability outside a range of outcomes; a walk of no terms (a tail
-of 0 or 1) costs nothing.  P[i >= k] (P[i < lo] is one of the flipped
+Every result is one priced sum of walks.  The pmf h(i) is the walk of one
+term from i, and a tail or deviation is P[i < lo] + P[i > hi], the
+probability outside a range of outcomes; a walk of no terms is set aside
+as an exact 0 or 1.  P[i >= k] (P[i < lo] is one of the flipped
 population) is one walk of h(i + 1) = h(i) r(i) from k away from the
 mode, or the complement of the other tail when k is on the rising side,
 k (N + 2) < (n + 1)(M + 1).  The rational walk sums exact integers; the
 log walk sums floats relative to h(k) and stops once the rest, at most
 term * r / (1 - r) as r falls past the mode, is below 2**-60 of the sum.
-The pmf h(i) is the walk of one term from i, or of none outside the support.
 
 Both deviation questions come down to one range of outcomes.  The
 two-sided tail P[|i - nM/N| >= c] lies outside the open range
@@ -51,7 +52,7 @@ from fractions import Fraction
 from ._validation import as_int, check_positive, check_range
 from .errors import DomainError
 
-#: Largest N for which mode="auto" evaluates in rational arithmetic.
+#: Largest N for which mode="auto" sums a walk in rational arithmetic.
 RATIONAL_LIMIT = 1_000_000
 
 #: Largest price (module docstring) that mode="auto" evaluates in
