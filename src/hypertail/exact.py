@@ -282,7 +282,7 @@ def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
         rational = sum(bits * (walk[3] + bits / 16) for walk in summed) <= RATIONAL_BUDGET
     parts = [_sum_walk(N, n, walk, rational) for walk in summed]
     if aside or not parts:
-        parts.append(Fraction(aside) if rational else 0.0 if aside else float("-inf"))
+        parts.append(Fraction(aside) if rational else (0.0 if aside else float("-inf")))
     total = functools.reduce(operator.add if rational else _log_add, parts)
     return ExactProb.from_rational(total) if rational else ExactProb.from_log(total)
 
