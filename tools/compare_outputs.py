@@ -14,10 +14,12 @@ line.  It covers:
   six deviations c;
 - 3,000 seeded log-path calls of all four at N from 10^5 to 10^8;
 - the two `RATIONAL_BUDGET`-edge calls, about a second each;
-- all four in "auto" at N = RATIONAL_LIMIT, RATIONAL_LIMIT + 1 and 10^8,
-  for M in {0, 10, N - 10} and n in {5, 5 * 10^5}: the tails at k in
-  {-1, 0, 1, 10, 11, n, n + 1}, the pmf at those k in 0..n and
-  `two_sided_exact` at c in {0.5, 3.5, 10^9};
+- all four in "auto" at N = RATIONAL_LIMIT, RATIONAL_LIMIT + 1, 10^8,
+  10^30, 10^200 and 10^400, for M in {0, 10, N - 10} and n in
+  {5, 5 * 10^5}: the tails at k in {-1, 0, 1, 10, 11, n, n + 1}, the pmf
+  at those k in 0..n and `two_sided_exact` at c in {0.5, 3.5, 10^9};
+- 600 seeded calls of all four in "auto" at N from 10 to 10^8, with
+  thresholds within 5 standard deviations of the mean;
 - every `cli_oneshot(seed)` argv of `bench/workloads.py` for seeds 1-10
   and the `EXTRA_ARGV` below, in json, text and csv, at --digits 12 and
   at --digits 1, where a rounded integer or exact string would show
@@ -31,7 +33,10 @@ Each record is the call, the value's type, the value and its log, or the
 error raised.  The workload lists come from this checkout's `bench/`,
 which the sweep only reads.  Prints the number of records per section,
 the first differences (the head and tail of a long record), and exits 1
-if there are any.  The two processes
+if there are any.  For each section of probabilities that differ it
+also prints how many differ, how many changed type (Fraction or float)
+and the worst relative difference |expm1(log_new - log_old)|, read from
+the records' logs; an error record differs but has no such difference.  The two processes
 run side by side; on two cores (Python 3.11) the sweep takes 40-50 s.
 """
 
@@ -41,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -58,8 +64,8 @@ WIDTH = 400  # characters shown of a differing record; a report at n = 10^7 has 
 #: argvs beside the workload's: a `bound` with an M outside 0..N under a
 #: family other than KL, a `deviation` and a `bound` whose deviation
 #: underflows to 0.0 as a float, a `samplesize` whose half-width lies
-#: just below an N above 2^53, and a `tail` that sums nothing at an N
-#: above RATIONAL_LIMIT.
+#: just below an N above 2^53, a `tail` that sums nothing at an N
+#: above RATIONAL_LIMIT, and a cheap `tail` at N = 10^8.
 EXTRA_ARGV = (
     ["bound", "--population", "10", "--positives", "11", "--samples", "5", "--deviation", "1"],
     ["bound", "--population", "10", "--positives", "-3", "--samples", "5", "--deviation", "1",
@@ -71,7 +77,13 @@ EXTRA_ARGV = (
      "--halfwidth", "99999999999999999"],
     ["tail", "--population", "1000001", "--positives", "10", "--samples", "5",
      "--threshold", "6", "--side", "upper"],
+    ["tail", "--population", "100000000", "--positives", "30000000", "--samples", "100",
+     "--threshold", "40", "--side", "upper"],
 )
+
+#: the sections whose every record is a `_prob` value.
+PROB_SECTIONS = ("exact-small", "two-sided-small", "log-path", "budget-edge", "auto-large",
+                 "auto-mid")
 
 #: populations (N, M, n) for the runs of more than one block.
 MULTI_BLOCK_POPULATIONS = ((60, 24, 30), (1000, 400, 500), (4 * 10**7, 2 * 10**7, 10**7))
@@ -127,9 +139,10 @@ def _budget_edge(h):
 
 
 def _auto_large(h):
-    """"auto" around RATIONAL_LIMIT, where its rule picks the path, including
-    the calls that sum nothing."""
-    for N in (h.RATIONAL_LIMIT, h.RATIONAL_LIMIT + 1, 10**8):
+    """"auto" from RATIONAL_LIMIT to N = 10^400, including the calls that sum
+    nothing.  Every walk has at most 11 terms (M or N - M is at most 10) or
+    none, so each call is fast on either path."""
+    for N in (h.RATIONAL_LIMIT, h.RATIONAL_LIMIT + 1, 10**8, 10**30, 10**200, 10**400):
         for M, n in itertools.product((0, 10, N - 10), (5, 5 * 10**5)):
             for k, name in itertools.product((-1, 0, 1, 10, 11, n, n + 1),
                                              ("pmf", "lower_tail", "upper_tail")):
@@ -138,6 +151,22 @@ def _auto_large(h):
             for c in (0.5, 3.5, 10**9):
                 yield f"two_sided_exact({N}, {M}), {n}, {c!r}", _prob(
                     h.two_sided_exact, (N, M), n, c)
+
+
+def _auto_mid(h):
+    """"auto" at N up to 10^8 and n up to 10^5, with thresholds near the
+    mean, where the price decides the path."""
+    rng = random.Random("compare-outputs/auto-mid")
+    for _ in range(600):
+        N = int(10 ** rng.uniform(1, 8))
+        M, n = rng.randint(0, N), rng.randint(0, min(N, 10 ** rng.randint(1, 5)))
+        mean, sd = n * M / N, math.sqrt(n * M * (N - M) * (N - n) / (N * N * (N - 1)))
+        name = rng.choice(("pmf", "lower_tail", "upper_tail", "two_sided_exact"))
+        if name == "two_sided_exact":
+            x = rng.uniform(0.5, 4) * sd
+        else:
+            x = min(max(round(mean + rng.uniform(-5, 5) * sd), 0), n)
+        yield f"{name}({N}, {M}), {n}, {x!r}", _prob(getattr(h, name), (N, M), n, x)
 
 
 def _cli(h, workloads):
@@ -178,6 +207,7 @@ SECTIONS = {
     "log-path": _log_path,
     "budget-edge": _budget_edge,
     "auto-large": _auto_large,
+    "auto-mid": _auto_mid,
     "cli": _cli,
     "simulate": _simulate,
     "simulate-blocks": _simulate_blocks,
@@ -213,6 +243,29 @@ def _shown(record: str | None) -> str:
     return f"{record[:WIDTH // 2]} ... {record[-WIDTH // 2:]}"
 
 
+def _read_prob(record: str | None) -> tuple[bool, float] | None:
+    """A `_prob` record's (value is a Fraction, log), or None for an error."""
+    parts = (record or "").rstrip("\n").split(" | ", 2)[-1].split(" ")
+    try:
+        if parts[0] != "Fraction":
+            float(parts[0])
+        return parts[0] == "Fraction", float(parts[-1])
+    except ValueError:
+        return None
+
+
+def _moved(pairs: list) -> str:
+    """How far a section's differing probabilities moved, from their logs."""
+    changed, worst = 0, None
+    for old, new in pairs:
+        if old and new:
+            changed += old[0] != new[0]
+            gap = 0.0 if old[1] == new[1] else abs(math.expm1(new[1] - old[1]))
+            worst = gap if worst is None else max(worst, gap)
+    worst = "none" if worst is None else f"{worst:.2g}"
+    return f"{len(pairs)} differ, {changed} changed type, worst relative difference {worst}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         _emit(argv[1])
@@ -221,7 +274,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent, change = _start(Path(argv[0]).resolve()), _start(ROOT)
-    counts, differences = {}, 0
+    counts, differences, moved = {}, 0, {}
     for old, new in itertools.zip_longest(parent.stdout, change.stdout):
         section = (new or old).split(" | ", 1)[0]
         counts[section] = counts.get(section, 0) + 1
@@ -229,11 +282,15 @@ def main(argv: list[str]) -> int:
             differences += 1
             if differences <= SHOWN:
                 print(f"- {_shown(old)}\n+ {_shown(new)}")
+            if section in PROB_SECTIONS:
+                moved.setdefault(section, []).append((_read_prob(old), _read_prob(new)))
     if parent.wait() or change.wait():
         print("error: a sweep process failed", file=sys.stderr)
         return 2
     for section, count in counts.items():
         print(f"{section}: {count} records")
+    for section, pairs in moved.items():
+        print(f"{section} probabilities: {_moved(pairs)}")
     print(f"{differences} differences")
     return 1 if differences else 0
 
