@@ -248,7 +248,7 @@ _OPTIONS = {
     "mode": dict(
         choices=exact._MODES,
         default="auto",
-        help="arithmetic path: exact rationals, log-space, or size-based auto",
+        help="arithmetic path: exact rationals, log-space, or price-based auto",
     ),
     "format": dict(
         choices=FORMATS,

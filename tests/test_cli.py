@@ -458,6 +458,15 @@ class TestSubcommandResults:
         assert record["results"]["probability_exact"] == "1/12"
         assert record["labels"]["side"] == "lower"
 
+    def test_cheap_tail_at_a_large_population_is_exact(self, capsys):
+        # "auto" prices the walk at any N: 71 terms of C(10^8, 100) are cheap.
+        argv = ["tail", "--population", "100000000", "--positives", "30000000",
+                "--samples", "100", "--threshold", "40", "--side", "upper"]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  mode = rational" in lines
+        assert any(line.startswith("  probability_exact = ") for line in lines)
+
     def test_deviation_matches_two_sided(self, capsys):
         record = run_json(
             capsys,

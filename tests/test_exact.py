@@ -119,15 +119,19 @@ class TestTails:
     def test_rational_tail_beyond_the_binomial_sums(self):
         # A sum of 20,001 comb products of ~10^5-bit integers did not
         # finish in minutes.  P is about e^-2018, below the doubles, so
-        # the Fraction itself is compared with mpmath.
+        # the Fraction itself is compared with mpmath.  Under "auto" the
+        # walk is priced past the budget and the float underflows to
+        # 0.0, so only its log is compared.
         N, M, n, k = 10**5, 5 * 10**4, 5 * 10**4, 2 * 10**4
-        res = lower_tail((N, M), n, k)
+        res = lower_tail((N, M), n, k, mode="rational")
         assert res.is_exact
+        auto = lower_tail((N, M), n, k)
         with mpmath.workdps(40):
             ref = _mp_lower(N, M, n, k)
             value = mpmath.mpf(res.value.numerator) / res.value.denominator
             assert abs(value - ref) <= 1e-12 * ref
             assert abs(res.log_value - mpmath.log(ref)) <= 1e-12 * -res.log_value
+            assert abs(auto.log_value - mpmath.log(ref)) <= 1e-12 * -auto.log_value
 
 
 class TestTwoSided:
@@ -230,8 +234,8 @@ class TestLogSpace:
                 assert abs(approx.value - exact) <= 1e-10 * exact
 
     def test_log_path_at_scale(self):
-        # Far beyond the rational auto limit; verified against a
-        # directly computed rational value.
+        # The log path at N = 10^8; verified against a directly
+        # computed rational value.
         N, M, n, i = 10**8, 3 * 10**7, 1000, 300
         exact = oracles.pmf(N, M, n, i)
         approx = pmf((N, M), n, i, mode="log")
@@ -242,11 +246,16 @@ class TestLogSpace:
         tail_exact = oracles.upper_tail(N, M, n, 320)
         assert abs(tail.value - tail_exact) <= 1e-10 * tail_exact
 
-    def test_auto_mode_switches_on_population_size(self):
-        small = pmf((RATIONAL_LIMIT, 10), 5, 1)
-        large = pmf((RATIONAL_LIMIT + 1, 10), 5, 1)
-        assert small.is_exact
-        assert not large.is_exact
+    def test_auto_mode_switches_on_price(self):
+        # A cheap walk stays exact at any N; a dear one takes the log
+        # path.  At N = 10^30 the price's bit count must not cancel: the
+        # last tail took 9.6 s on the rational path.
+        assert pmf((RATIONAL_LIMIT, 10), 5, 1).is_exact
+        assert pmf((RATIONAL_LIMIT + 1, 10), 5, 1).is_exact
+        assert upper_tail((10**8, 3 * 10**7), 100, 30).is_exact
+        assert upper_tail((10**30, 10**29), 20, 5).is_exact
+        assert not pmf((2 * 10**5, 10**5), 10**5, 5 * 10**4).is_exact
+        assert not upper_tail((10**30, 10**29), 10**4, 1300).is_exact
 
     def test_mode_override(self):
         assert not pmf((10, 7), 5, 3, mode="log").is_exact
@@ -475,11 +484,11 @@ class TestAutoPrice:
                 assert res.is_exact and res.value == value
 
     def test_two_sided_prices_both_walks_at_once(self):
-        # Each walk is about 9,850 terms of C(10^5, 5*10^4), 1.6*10^9
-        # alone but 3.2*10^9 together: one tail stays rational, and the
-        # two-sided probability takes the log path for both.
-        pop, n, c = (10**5, 2 * 10**4), 5 * 10**4, 150
-        assert upper_tail(pop, n, 10**4 + c).is_exact
+        # Each walk is about 590 terms of C(12000, 6000), priced at about
+        # 2.2*10^7 alone but 4.4*10^7 together: one tail stays rational,
+        # and the two-sided probability takes the log path for both.
+        pop, n, c = (12000, 1200), 6000, 10
+        assert upper_tail(pop, n, 600 + c).is_exact
         res = two_sided_exact(pop, n, c)
         assert not res.is_exact
         with mpmath.workdps(40):

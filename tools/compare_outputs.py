@@ -13,7 +13,8 @@ line.  It covers:
 - `two_sided_exact` in "auto" and "log" at every N <= 40, M and n, for
   six deviations c;
 - 3,000 seeded log-path calls of all four at N from 10^5 to 10^8;
-- the two `RATIONAL_BUDGET`-edge calls, about a second each;
+- two calls that cost about a second on the rational path, at the edge of
+  an earlier `RATIONAL_BUDGET` (3 * 10^9), far beyond today's;
 - all four in "auto" at N = RATIONAL_LIMIT, RATIONAL_LIMIT + 1, 10^8,
   10^30, 10^200 and 10^400, for M in {0, 10, N - 10} and n in
   {5, 5 * 10^5}: the tails at k in {-1, 0, 1, 10, 11, n, n + 1}, the pmf
