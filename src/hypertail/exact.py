@@ -59,6 +59,8 @@ RATIONAL_LIMIT = 1_000_000
 RATIONAL_BUDGET = 25_000_000
 
 _MODES = ("auto", "rational", "log")
+#: Largest N at which the log path sums a walk; its floats overflow near N = 10^154.
+_LOG_LIMIT = 10**150
 
 #: The log-path tail walk stops once the terms left are provably below
 #: this fraction of the running total.
@@ -280,6 +282,8 @@ def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
         k = min(n, N - n)
         bits = k and k * (math.log2(N) - math.log2(k) + math.log2(math.e))
         rational = sum(bits * (walk[3] + bits / 16) for walk in summed) <= RATIONAL_BUDGET
+    if summed and not rational and N > _LOG_LIMIT:
+        raise DomainError('the log path takes N <= 10^150; mode="rational" takes any N')
     parts = [_sum_walk(N, n, walk, rational) for walk in summed]
     if aside or not parts:
         parts.append(Fraction(aside) if rational else (0.0 if aside else float("-inf")))

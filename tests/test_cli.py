@@ -167,10 +167,15 @@ class TestExitCodes:
                 ["bound", "--population", "10", "--samples", "5", "--deviation", "1e-400"],
                 "t is positive but underflows to 0.0",
             ),
+            (
+                ["tail", "--population", "1" + "0" * 200, "--positives", "10", "--samples", "5",
+                 "--threshold", "1", "--side", "upper", "--mode", "log"],
+                "the log path takes N <= 10^150",
+            ),
         ],
         ids=["sampler-limit", "trial-limit", "beyond-float-range", "halfwidth-underflow",
              "delta-underflow", "not-a-decimal", "bound-positives", "deviation-underflow",
-             "bound-underflow"],
+             "bound-underflow", "log-path-limit"],
     )
     def test_diagnostic_names_the_limit(self, capsys, argv, message):
         assert run(argv) == 2

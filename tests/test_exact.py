@@ -245,6 +245,12 @@ class TestLogSpace:
         tail = upper_tail((N, M), n, 320, mode="log")
         tail_exact = oracles.upper_tail(N, M, n, 320)
         assert abs(tail.value - tail_exact) <= 1e-10 * tail_exact
+        # The log path holds up to its limit, N = 10^150; the rational
+        # path takes any N.
+        log = upper_tail((10**150, 10**149), 1000, 130, mode="log")
+        exact = upper_tail((10**150, 10**149), 1000, 130, mode="rational")
+        assert abs(log.value - exact.value) <= 1e-12 * exact.value
+        assert lower_tail((10**400, 10), 5, 0, mode="rational").is_exact
 
     def test_auto_mode_switches_on_price(self):
         # A cheap walk stays exact at any N; a dear one takes the log
@@ -551,6 +557,10 @@ class TestValidation:
             # No terms to walk: the mode is checked before the exact 0 or 1.
             lambda: upper_tail((10, 7), 5, 0, mode="fast"),
             lambda: pmf((10, 7), 5, 1, mode="fast"),
+            # Walks with terms on the log path beyond N = 10^150.
+            lambda: upper_tail((10**200, 10**199), 1000, 200),
+            lambda: pmf((10**200, 10), 5, 1, mode="log"),
+            lambda: lower_tail((10**400, 10**399), 1000, 50),
         ],
     )
     def test_domain_errors(self, call):
