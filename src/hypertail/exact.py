@@ -266,22 +266,22 @@ def _log_add(a: float, b: float) -> float:
 
 
 def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
-    """The sum of the walks' tails as one ExactProb.  A walk of no terms is
-    set aside as an exact 0, or 1 when flipped; "auto" prices the others
-    (module docstring) to take one path for all of them."""
+    """The sum of the walks' tails as one ExactProb, all on the path that "auto"
+    prices (module docstring); a walk of no terms is an exact 0, or 1 if flipped."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    summed, aside = [], 0
+    summed, aside, terms = [], 0, 0
     for walk in walks:
         if walk[3]:
             summed.append(walk)
+            terms += walk[3]
         else:
             aside += walk[0]
     rational = mode == "rational"
     if mode == "auto":
         k = min(n, N - n)
         bits = k and k * (math.log2(N) - math.log2(k) + math.log2(math.e))
-        rational = sum(bits * (walk[3] + bits / 16) for walk in summed) <= RATIONAL_BUDGET
+        rational = bits * (terms + len(summed) * bits / 16) <= RATIONAL_BUDGET
     if summed and not rational and N > _LOG_LIMIT:
         raise DomainError('the log path takes N <= 10^150; mode="rational" takes any N')
     parts = [_sum_walk(N, n, walk, rational) for walk in summed]
