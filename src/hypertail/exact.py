@@ -51,7 +51,7 @@ from fractions import Fraction
 from ._validation import as_int, check_positive, check_range
 from .errors import DomainError
 
-#: The largest N of an earlier size rule; mode="auto" no longer reads it.
+#: Kept importable for callers; mode="auto" prices its walks at any N and no longer reads it.
 RATIONAL_LIMIT = 1_000_000
 
 #: Largest price (module docstring) that mode="auto" evaluates in

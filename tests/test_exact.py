@@ -254,8 +254,8 @@ class TestLogSpace:
 
     def test_auto_mode_switches_on_price(self):
         # A cheap walk stays exact at any N; a dear one takes the log
-        # path.  At N = 10^30 the price's bit count must not cancel: the
-        # last tail took 9.6 s on the rational path.
+        # path.  At N = 10^30 the price's bit count must not cancel: a
+        # price that did sent the last tail to a 9.6 s rational walk.
         assert pmf((RATIONAL_LIMIT, 10), 5, 1).is_exact
         assert pmf((RATIONAL_LIMIT + 1, 10), 5, 1).is_exact
         assert upper_tail((10**8, 3 * 10**7), 100, 30).is_exact
