@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +64,9 @@ _LOG_LIMIT = 10**150
 #: The log-path tail walk stops once the terms left are provably below
 #: this fraction of the running total.
 _TRUNCATION = 2.0**-60
+
+#: The log walk tests that stop once every _CHECK terms (module docstring).
+_CHECK = 32
 
 
 @dataclass(frozen=True)
@@ -227,22 +229,31 @@ def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
     return False, M, k, hi - k + 1
 
 
-def _sum_walk(N: int, n: int, walk, rational: bool) -> Fraction | float:
+def _sum_walk(N: int, n: int, walk, rational: bool) -> int | float:
     """A tail (or the pmf) from its walk of one or more terms of r(i) = h(i + 1) / h(i)
-    = (M - i)(n - i) / ((i + 1)(N - M - n + i + 1)): a Fraction, or a log."""
+    = p / q, p = (M - i)(n - i) and q = (i + 1)(N - M - n + i + 1), each stepped by
+    its exact differences: the integer sum C(N, n) P[i >= k], unflipped, or a log."""
     flip, M, k, terms = walk
+    p, q = (M - k) * (n - k), (k + 1) * (N - M - n + k + 1)
+    dp, dq, step = 2 * k + 1 - M - n, N - M - n + 2 * k + 3, 2
     if rational:
         term = total = math.comb(M, k) * math.comb(N - M, n - k)
-        for i in range(k, k + terms - 1):
-            term = term * (M - i) * (n - i) // ((i + 1) * (N - M - n + i + 1))
+        for _ in range(terms - 1):
+            term = term * p // q
             total += term
-        whole = math.comb(N, n)
-        return Fraction(whole - total if flip else total, whole)
+            p, q = p + dp, q + dq
+            dp, dq = dp + step, dq + step
+        return total
+    if (N + 1) * (n + 1) < 2**53:  # every counter is an integer below 2^53, exact as a float
+        p, q, dp, dq, step = float(p), float(q), float(dp), float(dq), 2.0
     term = total = 1.0
-    for i in range(k, k + terms - 1):
-        r = (M - i) * (n - i) / ((i + 1) * (N - M - n + i + 1))
-        term *= r
-        total += term
+    for done in range(0, terms - 1, _CHECK):
+        for _ in range(min(_CHECK, terms - 1 - done)):
+            r = p / q
+            term *= r
+            total += term
+            p, q = p + dp, q + dq
+            dp, dq = dp + step, dq + step
         if term * r < _TRUNCATION * total * (1 - r):
             break
     log_value = _log_pmf(N, M, n, k) + math.log(total)
@@ -284,11 +295,17 @@ def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
         rational = bits * (terms + len(summed) * bits / 16) <= RATIONAL_BUDGET
     if summed and not rational and N > _LOG_LIMIT:
         raise DomainError('the log path takes N <= 10^150; mode="rational" takes any N')
-    parts = [_sum_walk(N, n, walk, rational) for walk in summed]
+    if rational:
+        whole = math.comb(N, n) if summed else 1
+        total = aside * whole
+        for walk in summed:
+            t = _sum_walk(N, n, walk, True)
+            total += whole - t if walk[0] else t
+        return ExactProb.from_rational(Fraction(total, whole))
+    parts = [_sum_walk(N, n, walk, False) for walk in summed]
     if aside or not parts:
-        parts.append(Fraction(aside) if rational else (0.0 if aside else float("-inf")))
-    total = functools.reduce(operator.add if rational else _log_add, parts)
-    return ExactProb.from_rational(total) if rational else ExactProb.from_log(total)
+        parts.append(0.0 if aside else float("-inf"))
+    return ExactProb.from_log(functools.reduce(_log_add, parts))
 
 
 def _check_sample(pop, n) -> tuple[Population, int, int]:
