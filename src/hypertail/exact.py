@@ -121,9 +121,10 @@ class ExactProb:
         if value == 0:
             return cls(value, float("-inf"))
         f = float(value)
-        if f == 0.0:
-            # Underflowed to subnormal zero; log the integer parts instead.
-            log_value = math.log(value.numerator) - math.log(value.denominator)
+        if f < 2.0**-1022:
+            # Below the normal floats: log a quotient scaled to 54-55 bits.
+            s = value.denominator.bit_length() - value.numerator.bit_length() + 54
+            log_value = math.log((value.numerator << s) / value.denominator) - s * math.log(2)
         elif f > 0.1:
             # log1p on the exact difference keeps the log accurate near 1.
             log_value = math.log1p(float(value - 1))

@@ -526,6 +526,17 @@ class TestExactProb:
                     math.exp(res.log_value), float(res.value), rel_tol=1e-12
                 )
 
+    def test_log_below_the_normal_floats(self):
+        # Exact values below 2^-1022, subnormal or 0.0 as floats, keep a
+        # log as accurate as a normal one.
+        cases = [pmf((N, N // 2), N // 2, 0) for N in range(1056, 1079)]
+        cases.append(lower_tail((10**5, 5 * 10**4), 5 * 10**4, 2 * 10**4, mode="rational"))
+        with mpmath.workdps(40):
+            for res in cases:
+                assert res.is_exact and res.value < Fraction(1, 2**1022)
+                expected = mpmath.log(mpmath.mpf(res.value.numerator) / res.value.denominator)
+                assert abs(res.log_value - expected) <= 1e-15 * -expected
+
     def test_float_conversion(self):
         assert float(pmf((10, 7), 5, 3)) == 105 / 252
 
