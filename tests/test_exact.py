@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hypertail import exact
 from hypertail import (
     DomainError,
     ExactProb,
@@ -438,6 +439,39 @@ def _crossing(log_pmf, start, end, target):
         mid = (good + bad) // 2
         good, bad = (mid, bad) if log_pmf(mid) >= target else (good, mid)
     return good
+
+
+class TestLogWalk:
+    def test_stop_tested_every_term_changes_nothing(self, monkeypatch):
+        # The walk tests its stop once every _CHECK terms.  A term added
+        # after the earliest stop is below half an ulp of the total, so
+        # testing after every term returns the same floats.
+        rng = random.Random(20261020)
+        calls = []
+        for _ in range(200):
+            N = int(10 ** rng.uniform(2, 8))
+            M, n = rng.randint(1, N - 1), rng.randint(1, min(N - 1, 10**5))
+            mode = (n + 1) * (M + 1) // (N + 2)
+            sd = math.sqrt(n * M * (N - M) * (N - n) / (N * N * (N - 1)))
+            x = rng.uniform(0, 8) * sd
+            calls += [
+                (lower_tail, (N, M), n, math.floor(mode - x)),
+                (upper_tail, (N, M), n, math.ceil(mode + x)),
+                (two_sided_exact, (N, M), n, x + 0.5),
+            ]
+        batched = [call(*args, mode="log") for call, *args in calls]
+        monkeypatch.setattr(exact, "_CHECK", 1)
+        assert [call(*args, mode="log") for call, *args in calls] == batched
+
+    @pytest.mark.parametrize("n", [8190, 8191])
+    def test_float_and_integer_counters(self, n):
+        # The log walk steps its counters as floats below (N + 1)(n + 1)
+        # = 2^53, where each is an exact integer, and as ints above.
+        N, M = 2**40, 2**36
+        assert ((N + 1) * (n + 1) < 2**53) == (n == 8190)
+        for call, k in [(lower_tail, 430), (upper_tail, 500)]:
+            exact_value = call((N, M), n, k, mode="rational").value
+            assert abs(call((N, M), n, k, mode="log").value - exact_value) <= 1e-12 * exact_value
 
 
 class TestAutoPrice:
