@@ -21,9 +21,16 @@ probability outside a range of outcomes; a walk of no terms is set aside
 as an exact 0 or 1.  P[i >= k] (P[i < lo] is one of the flipped
 population) is one walk of h(i + 1) = h(i) r(i) from k away from the
 mode, or the complement of the other tail when k is on the rising side,
-k (N + 2) < (n + 1)(M + 1).  The rational walk sums exact integers; the
-log walk sums floats relative to h(k) and stops once the rest, at most
-term * r / (1 - r) as r falls past the mode, is below 2**-60 of the sum.
+k (N + 2) < (n + 1)(M + 1).  The ratio is r(i) = p / q, p = (M - i)(n - i)
+and q = (i + 1)(N - M - n + i + 1), with p and q stepped by their exact
+differences.  The rational walk sums the integers C(N, n) h(i), and the
+walks of one result are added over one C(N, n).  The log walk sums floats
+relative to h(k).  Its counters are floats when (N + 1)(n + 1) < 2^53,
+where each is an integer that a float holds exactly, so r is the same
+correctly rounded quotient on either type.  It stops once the rest, at
+most term * r / (1 - r) as r falls past the mode, is below 2**-60 of the
+sum, a test made once every 32 terms: once it would pass after a term,
+each later term is below half an ulp of the sum and leaves it as it is.
 
 Both deviation questions come down to one range of outcomes.  The
 two-sided tail P[|i - nM/N| >= c] lies outside the open range
@@ -233,7 +240,9 @@ def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
 def _sum_walk(N: int, n: int, walk, rational: bool) -> int | float:
     """A tail (or the pmf) from its walk of one or more terms of r(i) = h(i + 1) / h(i)
     = p / q, p = (M - i)(n - i) and q = (i + 1)(N - M - n + i + 1), each stepped by
-    its exact differences: the integer sum C(N, n) P[i >= k], unflipped, or a log."""
+    its exact differences: the integer sum C(N, n) P[i >= k], unflipped, or a log.
+    The log walk keeps float counters below (N + 1)(n + 1) = 2^53 and tests its stop
+    every _CHECK terms; neither changes a result (module docstring)."""
     flip, M, k, terms = walk
     p, q = (M - k) * (n - k), (k + 1) * (N - M - n + k + 1)
     dp, dq, step = 2 * k + 1 - M - n, N - M - n + 2 * k + 3, 2
