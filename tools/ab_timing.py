@@ -1,6 +1,6 @@
 """Time two checkouts of hypertail call by call, in alternating rounds.
 
-    python3 tools/ab_timing.py PARENT_DIR [--rounds 9] [--aa]
+    python3 tools/ab_timing.py PARENT_DIR [--aa]
 
 It compares the checkout that holds it (the change) with PARENT_DIR,
 the root of another (for example an unpacked `git archive` of the
@@ -17,7 +17,7 @@ ratio (change / parent) and the number of rounds in which the change
 was faster; the `round` rows are the sums over each workload's cases,
 one in-process round of its operations.  `--aa` times PARENT_DIR
 against itself, which shows how often a case "wins" by noise alone.
-On two cores (Python 3.11) 9 rounds take about 2 minutes.
+On two cores (Python 3.11) its 9 rounds take about a minute.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 BATCH_S = 0.02
+ROUNDS = 9
 
 #: the `_priced`-overhead finding's small calls: (name, call, args, kwargs)
 SMALL = (
@@ -96,25 +97,24 @@ def _time(checkout: Path) -> list:
 
 
 def _report(parent: list, change: list) -> None:
-    """Print the per-case table from each side's rounds of rows."""
-    rounds = len(parent)
+    """Print the per-case table from each side's rounds of rows, which list
+    the cases in the same order."""
     keys = [tuple(row[:2]) for row in parent[0]]
-    per = {}
-    for side, runs in (("parent", parent), ("change", change)):
-        for r, rows in enumerate(runs):
-            for (workload, name, seconds) in rows:
-                per.setdefault((workload, name), {}).setdefault(side, [0.0] * rounds)[r] = seconds
-                total = per.setdefault((workload, "round"), {}).setdefault(side, [0.0] * rounds)
-                total[r] += seconds
-    workloads = dict.fromkeys(workload for workload, _ in keys)
-    order = keys + [(workload, "round") for workload in workloads if workload != "small"]
+
+    def series(runs):
+        cases = {key: [rows[j][2] for rows in runs] for j, key in enumerate(keys)}
+        for workload in ("exact-grid", "closed-form"):
+            cases[workload, "round"] = [sum(r[2] for r in rows if r[0] == workload) for rows in runs]
+        return cases
+
+    a_all, b_all = series(parent), series(change)
     print(f"{'case':<40} {'parent us':>11} {'change us':>11} {'ratio':>6}  faster")
-    for key in order:
-        a, b = per[key]["parent"], per[key]["change"]
+    for key, a in a_all.items():
+        b = b_all[key]
         won = sum(y < x for x, y in zip(a, b))
         ma, mb = statistics.median(a) * 1e6, statistics.median(b) * 1e6
         print(f"{key[0] + ' ' + key[1]:<40.40} {ma:>11.2f} {mb:>11.2f} {mb / ma:>6.3f}  "
-              f"{won}/{rounds}")
+              f"{won}/{len(a)}")
 
 
 def main(argv: list[str]) -> int:
@@ -123,16 +123,15 @@ def main(argv: list[str]) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
-    parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--aa", action="store_true", help="time the parent against itself")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.parent.resolve() if args.aa else ROOT}
     runs = {"parent": [], "change": []}
     start = time.perf_counter()
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
             runs[side].append(_time(trees[side]))
-    print(f"{args.rounds} rounds, {trees['change']} against {trees['parent']}, "
+    print(f"{ROUNDS} rounds, {trees['change']} against {trees['parent']}, "
           f"{time.perf_counter() - start:.0f} s")
     _report(runs["parent"], runs["change"])
     return 0
