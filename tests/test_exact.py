@@ -451,12 +451,12 @@ class TestLogWalk:
         for _ in range(200):
             N = int(10 ** rng.uniform(2, 8))
             M, n = rng.randint(1, N - 1), rng.randint(1, min(N - 1, 10**5))
-            mode = (n + 1) * (M + 1) // (N + 2)
+            peak = (n + 1) * (M + 1) // (N + 2)
             sd = math.sqrt(n * M * (N - M) * (N - n) / (N * N * (N - 1)))
             x = rng.uniform(0, 8) * sd
             calls += [
-                (lower_tail, (N, M), n, math.floor(mode - x)),
-                (upper_tail, (N, M), n, math.ceil(mode + x)),
+                (lower_tail, (N, M), n, math.floor(peak - x)),
+                (upper_tail, (N, M), n, math.ceil(peak + x)),
                 (two_sided_exact, (N, M), n, x + 0.5),
             ]
         batched = [call(*args, mode="log") for call, *args in calls]
