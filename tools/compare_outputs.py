@@ -21,6 +21,12 @@ line.  It covers:
   at those k in 0..n and `two_sided_exact` at c in {0.5, 3.5, 10^9};
 - 600 seeded calls of all four in "auto" at N from 10 to 10^8, with
   thresholds within 5 standard deviations of the mean;
+- 4,000 seeded rounds of the closed forms at N from 1 to 10^400 (about
+  2^53 and the poll among them): every `BoundFamily` through
+  `tail_bound` and `concentration_bound`, with and without M, and
+  `kl_upper_tail_bound`; the four interval functions with a float, int
+  and Fraction delta and half-width, n = N (a census) included; and both
+  planners, each record the result's repr or the error raised;
 - every `cli_oneshot(seed)` argv of `bench/workloads.py` for seeds 1-10
   and the `EXTRA_ARGV` below, in json, text and csv, at --digits 12 and
   at --digits 1, where a rounded integer or exact string would show
@@ -171,6 +177,48 @@ def _auto_mid(h):
         yield f"{name}({N}, {M}), {n}, {x!r}", _prob(getattr(h, name), (N, M), n, x)
 
 
+def _record(call, *args) -> str:
+    """The repr of call(*args), or the error it raised."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # the error is part of the record
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _closed_form(h):
+    """Bounds, intervals and plans at seeded arguments, some of them out of
+    their domain, so that both the values and the error texts show."""
+    rng = random.Random("compare-outputs/closed-form")
+    for _ in range(4_000):
+        N = rng.choice((rng.randint(1, 100), rng.randint(101, 10**6), 17_793_691,
+                        rng.randint(2**53 - 20, 2**53 + 20), rng.randint(10**12, 10**15),
+                        10**160, 10**200, 10**400))
+        n = rng.choice((1, rng.randint(1, N), rng.randint(1, N), N // 2 or 1, N // 2 + 1, N, N + 1))
+        M = rng.choice((None, 0, rng.randint(0, N), rng.randint(0, N), N, N + 1))
+        t = rng.choice((rng.uniform(1e-4, 0.6), rng.uniform(1e-4, 0.6), 2e-3, 1, -0.5,
+                        Fraction(rng.randint(1, 60), rng.randint(1, 99))))
+        for family, two_sided in itertools.product(h.BoundFamily, (False, True)):
+            call = h.concentration_bound if two_sided else h.tail_bound
+            for m in (None, M):
+                yield f"{call.__name__}({N}, {n}, {t!r}, {family}, {m})", _record(
+                    call, N, n, t, family, m)
+        yield f"kl_upper_tail_bound(({N}, {M}), {n}, {t!r})", _record(
+            h.kl_upper_tail_bound, (N, M), n, t)
+        i = rng.randint(0, max(0, min(n, N)))
+        deltas = (rng.uniform(1e-9, 0.999), 1, Fraction(1, rng.randint(2, 10**6)))
+        widths = (rng.uniform(1e-3, 1.5) * min(N, 2**1000), rng.randint(1, 2 * N),
+                  Fraction(rng.randint(1, 3 * N), rng.randint(1, 97)))
+        for name, x in itertools.chain(
+                itertools.product(("halfwidth_for_confidence", "b1_halfwidth_for_confidence"),
+                                  deltas),
+                itertools.product(("confidence_for_halfwidth", "b1_confidence_for_halfwidth"),
+                                  widths)):
+            yield f"{name}({N}, {n}, {i}, {x!r})", _record(getattr(h, name), N, n, i, x)
+        for name, c in itertools.product(("required_sample_size", "sample_size_lower_estimate"),
+                                         widths):
+            yield f"{name}({N}, {deltas[0]!r}, {c!r})", _record(getattr(h, name), N, deltas[0], c)
+
+
 def _cli(h, workloads):
     import hypertail.cli
 
@@ -210,6 +258,7 @@ SECTIONS = {
     "budget-edge": _budget_edge,
     "auto-large": _auto_large,
     "auto-mid": _auto_mid,
+    "closed-form": _closed_form,
     "cli": _cli,
     "simulate": _simulate,
     "simulate-blocks": _simulate_blocks,
