@@ -7,6 +7,7 @@ sum of two one-sided bounds with known rational values.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from hypertail import (
     tail_bound,
     two_sided_exact,
 )
+from hypertail.exact import _log_add
 
 T_STRAT = st.floats(min_value=1e-6, max_value=0.999999, allow_nan=False)
 
@@ -274,6 +276,30 @@ class TestConcentrationBound:
                     concentration_bound(10, 5, 0.3, family, M=M)
                 with pytest.raises(DomainError, match="M must satisfy"):
                     tail_bound(10, 5, 0.3, family, M=M)
+
+    def test_two_sided_exponent_is_built_from_the_one_sided(self):
+        # B1-B4 and AUTO keep the one-sided exponent; KL log-adds the upper
+        # tails at M and N - M, each clamped to 0, and halves the sum.
+        rng = random.Random("two-sided-exponent")
+        for _ in range(400):
+            N = rng.choice((rng.randint(1, 60), rng.randint(10**3, 10**8),
+                            rng.randint(2**53 - 100, 2**60)))
+            n, M = rng.choice((rng.randint(1, N), N)), rng.randint(0, N)
+            t = rng.choice((rng.uniform(1e-4, 0.7),
+                            Fraction(rng.randint(1, 40), rng.randint(1, 60))))
+            for family in BoundFamily:
+                for m in (None, M):
+                    if family is BoundFamily.KL:
+                        if m is None:
+                            continue
+                        up = kl_upper_tail_bound((N, m), n, t)
+                        down = kl_upper_tail_bound((N, N - m), n, t)
+                        expected = min(0.0, _log_add(up.exponent, down.exponent) - math.log(2.0))
+                    elif n == N and family in (BoundFamily.B3, BoundFamily.B4):
+                        continue
+                    else:
+                        expected = tail_bound(N, n, t, family, m).exponent
+                    assert concentration_bound(N, n, t, family, m).exponent == expected
 
     @given(
         Nn=population_and_sample(n_below_N=True),

@@ -1,6 +1,7 @@
 """Tests for confidence-interval sizing and sample-size planning."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,24 @@ class TestConfidenceForHalfwidth:
         assert back.formula == {FORMULA_C1: FORMULA_D1, FORMULA_C2: FORMULA_D2}[
             sized.formula
         ]
+
+
+    def test_endpoints_are_the_rational_ends_rounded_once(self):
+        # Seeded, with an int, Fraction and float c, at N from 1 to beyond
+        # 2^53, and the census n = N among the samples.
+        rng = random.Random("interval-endpoints")
+        for _ in range(1_500):
+            N = rng.choice((rng.randint(1, 100), rng.randint(10**5, 10**8),
+                            rng.randint(2**53 - 100, 2**60)))
+            n = rng.choice((rng.randint(1, N), N))
+            i = rng.randint(0, n)
+            for c in (rng.uniform(1e-3, 2.0) * N, rng.randint(1, 2 * N),
+                      Fraction(rng.randint(1, 2 * N), rng.randint(1, 99))):
+                for call in (confidence_for_halfwidth, b1_confidence_for_halfwidth):
+                    res = call(N, n, i, c)
+                    assert res.exact_halfwidth == c
+                    assert res.lower == float(res.estimate - res.exact_halfwidth)
+                    assert res.upper == float(res.estimate + res.exact_halfwidth)
 
 
 class TestMembership:
