@@ -92,11 +92,35 @@ def _coefficient(family: BoundFamily, N, n: int) -> float:
     return (n * N) / ((N - n) * (n + 1))
 
 
-def _closed_form(family: BoundFamily, N, n, t) -> BoundValue:
+def _closed_form(family: BoundFamily, N, n, t, two_sided=False) -> BoundValue:
     N, n, t = _check_nt(N, n, t)
     if family is BoundFamily.AUTO:
         family = BoundFamily.B2 if 2 * n <= N or n == N else BoundFamily.B4
-    return _clamped(-2.0 * t * t * n * _coefficient(family, N, n), family)
+    return _clamped(-2.0 * t * t * n * _coefficient(family, N, n), family, two_sided)
+
+
+def _kl_exponent(N: int, M: int, n: int, t) -> float:
+    """The unclamped log of kl_upper_tail_bound at checked arguments."""
+    # Branch on integers so the boundary cases do not depend on
+    # floating-point cancellation in 1 - p - t: with t = a/b,
+    # (1 - p - t) N b = (N - M) b - a N exactly.
+    a, b = t.as_integer_ratio()
+    rest = (N - M) * b - a * N
+    if M == 0 or rest < 0:
+        return float("-inf")
+    # Each quotient of integers below is rounded once.
+    p = M / N
+    shifted = (M * b + a * N) / (N * b)
+    if shifted == 1.0:
+        # p^n, which the tail equals at n = 1: raised past the rounding
+        # error of p, the log and exp, so the float never undercuts it.
+        exponent = n * math.log(p)
+        return exponent + 2.0**-51 * (n + 1 - exponent)
+    remainder = rest / (N * b)
+    return n * (
+        shifted * math.log(p / shifted)
+        + remainder * math.log(((N - M) / N) / remainder)
+    )
 
 
 def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:
@@ -109,33 +133,7 @@ def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:
     exact ratio it was read from.  Tighter than b1_tail wherever both
     apply.
     """
-    pop = as_population(pop)
-    if pop.M is None:
-        raise UnsupportedBoundError("the KL bound requires a known positive count M")
-    N, M = pop.N, pop.M
-    _, n, t = _check_nt(N, n, t)
-    # Branch on integers so the boundary cases do not depend on
-    # floating-point cancellation in 1 - p - t: with t = a/b,
-    # (1 - p - t) N b = (N - M) b - a N exactly.
-    a, b = t.as_integer_ratio()
-    rest = (N - M) * b - a * N
-    if M == 0 or rest < 0:
-        return _clamped(float("-inf"), BoundFamily.KL)
-    # Each quotient of integers below is rounded once.
-    p = M / N
-    shifted = (M * b + a * N) / (N * b)
-    if shifted == 1.0:
-        # p^n, which the tail equals at n = 1: raised past the rounding
-        # error of p, the log and exp, so the float never undercuts it.
-        exponent = n * math.log(p)
-        exponent += 2.0**-51 * (n + 1 - exponent)
-    else:
-        remainder = rest / (N * b)
-        exponent = n * (
-            shifted * math.log(p / shifted)
-            + remainder * math.log(((N - M) / N) / remainder)
-        )
-    return _clamped(exponent, BoundFamily.KL)
+    return _kl(as_population(pop), n, t, False)
 
 
 def b1_tail(n: int, t: float) -> BoundValue:
@@ -172,6 +170,30 @@ def best_bound(N: int, n: int, t: float) -> BoundValue:
     return _closed_form(BoundFamily.AUTO, N, n, t)
 
 
+def _kl(pop: Population, n, t, two_sided: bool) -> BoundValue:
+    """The KL bound on pop's upper tail, or on both (the lower is the flipped
+    pop's upper) if two_sided, each exponent clamped to 0 before the sum."""
+    if pop.M is None:
+        raise UnsupportedBoundError("the KL bound requires a known positive count M")
+    _, n, t = _check_nt(pop.N, n, t)
+    exponent = _kl_exponent(pop.N, pop.M, n, t)
+    if two_sided:
+        down = _kl_exponent(pop.N, pop.N - pop.M, n, t)
+        exponent = _log_add(min(0.0, exponent), min(0.0, down)) - _LN2
+    return _clamped(exponent, BoundFamily.KL, two_sided)
+
+
+def _bound(N, n, t, family, M, two_sided: bool) -> BoundValue:
+    """tail_bound, or concentration_bound if two_sided."""
+    if not isinstance(family, BoundFamily):
+        raise DomainError(f"family must be a BoundFamily, got {family!r}")
+    if M is not None or family is BoundFamily.KL:
+        pop = Population(N, M)
+        if family is BoundFamily.KL:
+            return _kl(pop, n, t, two_sided)
+    return _closed_form(family, N, n, t, two_sided)
+
+
 def tail_bound(
     N: int, n: int, t: float, family: BoundFamily = BoundFamily.AUTO, M: int | None = None
 ) -> BoundValue:
@@ -181,13 +203,7 @@ def tail_bound(
     upper tail of the population (N, M); B3 and B4 require n < N; AUTO
     picks best_bound.  Every family checks a given M against 0..N.
     """
-    if not isinstance(family, BoundFamily):
-        raise DomainError(f"family must be a BoundFamily, got {family!r}")
-    if M is not None or family is BoundFamily.KL:
-        pop = Population(N, M)
-        if family is BoundFamily.KL:
-            return kl_upper_tail_bound(pop, n, t)
-    return _closed_form(family, N, n, t)
+    return _bound(N, n, t, family, M, False)
 
 
 def concentration_bound(
@@ -203,11 +219,4 @@ def concentration_bound(
     still holds.  KL requires M; B3 and B4 require n < N; AUTO picks
     best_bound.
     """
-    if family is not BoundFamily.KL:
-        single = tail_bound(N, n, t, family, M)
-        return _clamped(single.exponent, single.family_used, two_sided=True)
-    pop = Population(N, M)
-    up = kl_upper_tail_bound(pop, n, t)
-    down = kl_upper_tail_bound(pop.flipped(), n, t)
-    exponent = _log_add(up.exponent, down.exponent) - _LN2
-    return _clamped(exponent, BoundFamily.KL, two_sided=True)
+    return _bound(N, n, t, family, M, True)

@@ -94,8 +94,9 @@ def _interval(N, n, i, halfwidth, delta, formula, vacuous=False, legacy=False):
     """halfwidth as typed; the result reports it as a float."""
     estimate = Fraction(i * N, n)
     width = Fraction(halfwidth)
-    lower = float(estimate - width)
-    upper = float(estimate + width)
+    a, b = width.as_integer_ratio()
+    centre, shift, scale = i * N * b, a * n, n * b
+    lower, upper = (centre - shift) / scale, (centre + shift) / scale
     return IntervalResult(
         estimate=estimate,
         halfwidth=float(halfwidth),
