@@ -126,14 +126,17 @@ def _link(N, n, legacy):
     return g, (FORMULA_C2, FORMULA_D2)
 
 
+def _halfwidth(N, n, delta, legacy=False) -> tuple[float, str]:
+    """C1/C2, or B1 if legacy, at checked arguments, and the formula's name."""
+    g, (formula, _) = _link(N, n, legacy)
+    halfwidth = 0.0 if g is None else N * math.sqrt(-(math.log(delta) - _LN2) / (2 * n * g))
+    return halfwidth, formula
+
+
 def _from_delta(N, n, i, delta, legacy=False) -> IntervalResult:
     N, n, i = _check_query(N, n, i)
     delta = check_probability(delta, "delta")
-    g, (formula, _) = _link(N, n, legacy)
-    if g is None:
-        halfwidth = 0.0
-    else:
-        halfwidth = N * math.sqrt(-(math.log(delta) - _LN2) / (2 * n * g))
+    halfwidth, formula = _halfwidth(N, n, delta, legacy)
     return _interval(N, n, i, halfwidth, delta, formula, legacy=legacy)
 
 

@@ -24,7 +24,7 @@ from typing import Mapping
 from ._validation import check_probability, check_positive, check_range
 from .errors import DomainError
 from .exact import Population, _outcome_range
-from .inference import halfwidth_for_confidence
+from .inference import _halfwidth
 
 BLOCK = 2**16  # trials per spawned child seed
 
@@ -131,7 +131,7 @@ def _tally(first, counts, N: int, M: int, n: int, deltas, deviations):
 
     coverage = {}
     for d in deltas:
-        c = halfwidth_for_confidence(N, n, 0, d).halfwidth
+        c = _halfwidth(N, n, d)[0]
         coverage[d] = within(c, n, True) / total
     exceedance = {t: (total - within(t, n * N, False)) / total for t in deviations}
     return coverage, exceedance
