@@ -112,12 +112,19 @@ def _interval(N, n, i, halfwidth, delta, formula, vacuous=False, legacy=False):
     )
 
 
+def _check_float_range(N) -> None:
+    """N at most the largest float: the closed forms compute in floats of N."""
+    if N > 1.7976931348623157e308:
+        raise DomainError("the closed forms compute in floats and take N up to about 1.8e308")
+
+
 def _link(N, n, legacy):
     """The coefficient g of the bound that links c and delta (B1 for the
     legacy forms, else B2 for n <= N/2 and B4 above) and the labels
     (c from delta, delta from c).  g is None for a census (n = N outside
     the legacy forms), where c = 0 and delta = 0.
     """
+    _check_float_range(N)
     if legacy:
         return _coefficient(BoundFamily.B1, N, n), (FORMULA_B1, FORMULA_B1)
     if 2 * n <= N:
@@ -147,7 +154,11 @@ def _from_halfwidth(N, n, i, c, legacy=False) -> IntervalResult:
     g, (_, formula) = _link(N, n, legacy)
     # c * c / (N * N), not (c / N) ** 2: a float power raises
     # OverflowError where this product overflows to inf (delta 0).
-    raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * real * real * n * g / (N * N))
+    try:
+        square = float(N * N)
+    except OverflowError:  # N above about 1.3e154: divide c by N first
+        real, square = real / N, 1.0
+    raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * real * real * n * g / square)
     vacuous = raw >= 1.0
     return _interval(N, n, i, c, min(1.0, raw), formula, vacuous=vacuous, legacy=legacy)
 
@@ -211,6 +222,7 @@ def _plan_inputs(N, delta, c):
             f"c must satisfy c < N = {N}, got {float(c)}; the interval already "
             "covers every possible M, so n = 0 samples suffice"
         )
+    _check_float_range(N)
     c = float(c)
     # A product, not a power: x may overflow to inf, which _size_ratio
     # takes as a census.

@@ -80,6 +80,29 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "n must satisfy" in err
 
+    def test_population_beyond_float_squares(self, capsys):
+        # N = 10^200: N * N overflows a float, but the vacuous delta does not.
+        argv = ["confidence", "--population", str(10**200), "--samples", "10",
+                "--observed", "1", "--halfwidth", "5"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert "delta = 1\n" in out and "vacuous" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ci", "--samples", "10", "--observed", "1", "--delta", "0.05"],
+            ["confidence", "--samples", "10", "--observed", "1", "--halfwidth", "5"],
+            ["samplesize", "--delta", "0.05", "--halfwidth", str(10**300)],
+        ],
+        ids=["ci", "confidence", "samplesize"],
+    )
+    def test_population_beyond_the_float_range(self, capsys, argv):
+        assert run(argv + ["--population", str(10**400)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the closed forms compute in floats and take N up to about 1.8e308\n"
+        )
+
     def test_rejects_out_of_range_digits(self, capsys):
         assert run(PMF_ARGS + ["--digits", "0"]) == 2
         assert run(PMF_ARGS + ["--digits", "18"]) == 2

@@ -294,6 +294,36 @@ class TestValidation:
         with pytest.raises(DomainError):
             call()
 
+    def test_population_beyond_float_squares(self):
+        # Above about 1.3e154, N * N overflows a float; the answer at
+        # N = 10^200 still fits, and with c = 5 it is the vacuous delta 1.
+        for call, c in ((confidence_for_halfwidth, 5.0), (b1_confidence_for_halfwidth, 5)):
+            res = call(10**200, 10, 1, c)
+            assert res.vacuous and res.delta == 1.0
+            assert res.lower == res.upper == 1e199
+        # c/N = 1/2: delta = 2 exp(-2 (1/2)^2 10 g), g = N/(N - 9) rounds to 1.
+        res = confidence_for_halfwidth(10**200, 10, 1, 5 * 10**199)
+        assert res.delta == pytest.approx(2 * math.exp(-5.0), rel=1e-15)
+        # Either side of the first N whose square overflows a float.
+        below = math.isqrt(2**1024 - 2**970 - 1)
+        for N in (below, below + 1):
+            res = confidence_for_halfwidth(N, 10, 5, Fraction(N, 5))
+            assert res.delta == pytest.approx(2 * math.exp(-0.8), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: halfwidth_for_confidence(10**400, 10, 1, 0.05),
+            lambda: confidence_for_halfwidth(10**400, 10, 1, 5.0),
+            lambda: b1_halfwidth_for_confidence(10**400, 10, 1, 0.05),
+            lambda: required_sample_size(10**400, 0.05, 10**300),
+            lambda: sample_size_lower_estimate(10**400, 0.05, 10**300),
+        ],
+    )
+    def test_population_beyond_the_float_range(self, call):
+        with pytest.raises(DomainError, match="floats and take N up to about 1.8e308"):
+            call()
+
     def test_oversized_halfwidth_needs_no_samples(self):
         with pytest.raises(DomainError, match="n = 0 samples"):
             required_sample_size(10, 0.1, 10)
