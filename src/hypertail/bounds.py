@@ -21,9 +21,11 @@ B1 and B2 exactly when n > N/2, and the pairs coincide at n = N/2.  AUTO
 is B2 for 2n <= N or n = N and B4 otherwise; correctly rounded quotients
 keep their order, so its one exponent is always the smaller of the two.
 Each bound is clamped to 1 on return; the unclamped log survives in
-``BoundValue.exponent``.  The confidence intervals and miscoverages of
-`hypertail.inference` (C1/C2, D1/D2 and the legacy B1 forms) invert
-this exponent for the g of B2, B4 and B1.
+``BoundValue.exponent``.  One- and two-sided bounds share one dispatch,
+which checks the arguments once and builds one ``BoundValue``.  The
+confidence intervals and miscoverages of `hypertail.inference` (C1/C2,
+D1/D2 and the legacy B1 forms) invert this exponent for the g of B2, B4
+and B1.
 """
 
 from __future__ import annotations

@@ -14,6 +14,10 @@ with g = N / (N - n + 1) for C1/D1 (n <= N/2) and
 g = n N / ((N - n)(n + 1)) for C2/D2 (n > N/2).  C1/D1 and C2/D2 are
 algebraic inverses of each other, and the pairs produce equal values at
 n = N/2.  A census (n = N) has a zero-width interval and miscoverage 0.
+The estimate and the half-width as typed stay exact rationals; with
+c = a/b, each endpoint is the one integer quotient (i N b -/+ a n) / (n b),
+correctly rounded, so it equals float() of the rational endpoint.  The
+closed forms compute in floats of N and take N up to the largest float.
 
 The sample-size planner inverts the c(n) relation: with x = (N/c)^2 and
 y = -(1/2) ln(delta/2), the smallest real n with half-width at most c is
