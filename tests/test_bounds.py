@@ -281,12 +281,19 @@ class TestConcentrationBound:
         # B1-B4 and AUTO keep the one-sided exponent; KL log-adds the upper
         # tails at M and N - M, each clamped to 0, and halves the sum.
         rng = random.Random("two-sided-exponent")
+        cases = []
         for _ in range(400):
             N = rng.choice((rng.randint(1, 60), rng.randint(10**3, 10**8),
                             rng.randint(2**53 - 100, 2**60)))
             n, M = rng.choice((rng.randint(1, N), N)), rng.randint(0, N)
             t = rng.choice((rng.uniform(1e-4, 0.7),
                             Fraction(rng.randint(1, 40), rng.randint(1, 60))))
+            cases.append((N, n, M, t))
+        # p + t = 1 with p = 1 - 2^-60 and n = 2^50: the upper tail's p^n
+        # exponent is raised above 0, so its clamp shows in the sum.
+        cases.append((2**60, 2**50, 2**60 - 1, Fraction(1, 2**60)))
+        assert kl_upper_tail_bound((2**60, 2**60 - 1), 2**50, Fraction(1, 2**60)).exponent == 0.0
+        for N, n, M, t in cases:
             for family in BoundFamily:
                 for m in (None, M):
                     if family is BoundFamily.KL:
