@@ -45,7 +45,7 @@ also prints how many differ, how many changed type (Fraction or float)
 and the worst relative difference |expm1(log_new - log_old)|, read from
 the records' logs (a Fraction's from its value); an error record differs
 but has no such difference.  The two processes
-run side by side; on two cores (Python 3.11) the sweep takes 40-50 s.
+run side by side; on two cores (Python 3.11) the sweep takes 35-50 s.
 """
 
 from __future__ import annotations
