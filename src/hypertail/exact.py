@@ -13,7 +13,8 @@ precision rational (`fractions.Fraction`) and its natural logarithm.
 `mode="rational"` and `mode="log"` force one path; `mode="auto"` (the
 default) takes the rational one, at any N, when the price is within
 RATIONAL_BUDGET: bits = k log2(e N / k) >= log2 C(N, n), k = min(n, N - n),
-times (the terms walked + bits / 16 for the binomial coefficients).
+times (the terms of the walks below + bits / 16 for the binomials): a
+bound on the rational cost, which sums the shorter side of a range.
 
 Every result is one priced sum of walks.  The pmf h(i) is the walk of one
 term from i, and a tail or deviation is P[i < lo] + P[i > hi], the
@@ -24,13 +25,15 @@ mode, or the complement of the other tail when k is on the rising side,
 k (N + 2) < (n + 1)(M + 1).  The ratio is r(i) = p / q, p = (M - i)(n - i)
 and q = (i + 1)(N - M - n + i + 1), with p and q stepped by their exact
 differences.  The rational walk sums the integers C(N, n) h(i), and the
-walks of one result are added over one C(N, n).  The log walk sums floats
-relative to h(k).  Its counters are floats when (N + 1)(n + 1) < 2^53,
-where each is an integer that a float holds exactly, so r is the same
-correctly rounded quotient on either type.  It stops once the rest, at
-most term * r / (1 - r) as r falls past the mode, is below 2**-60 of the
-sum, a test made once every 32 terms: once it would pass after a term,
-each later term is below half an ulp of the sum and leaves it as it is.
+walks of one result are added over one C(N, n); each C(N, n) h(i) is an
+integer on either side of the mode, so C(N, n) minus the sum over lo..hi,
+upward through the support, is the same integer, summed where shorter.
+The log walk sums floats relative to h(k), with float counters when
+(N + 1)(n + 1) < 2^53, each an integer that a float holds exactly, so r is
+the same correctly rounded quotient on either type.  It stops once
+term * r < 2**-55 sum, tested every 32 terms: r falls along the walk, so
+each later term is at most term * r with one rounding, below half an ulp
+of a sum that only grows, and leaves the float as it is.
 
 Both deviation questions come down to one range of outcomes.  The
 two-sided tail P[|i - nM/N| >= c] lies outside the open range
@@ -68,8 +71,8 @@ _MODES = ("auto", "rational", "log")
 #: Largest N at which the log path sums a walk; its floats overflow near N = 10^154.
 _LOG_LIMIT = 10**150
 
-#: The log-path tail walk stops once the terms left are provably below
-#: this fraction of the running total.
+#: _bd0's series stops once its next term is below this fraction of its
+#: total.
 _TRUNCATION = 2.0**-60
 
 #: The log walk tests that stop once every _CHECK terms (module docstring).
@@ -134,7 +137,7 @@ class ExactProb:
             log_value = math.log((value.numerator << s) / value.denominator) - s * math.log(2)
         elif f > 0.1:
             # log1p on the exact difference keeps the log accurate near 1.
-            log_value = math.log1p(float(value - 1))
+            log_value = math.log1p((value.numerator - value.denominator) / value.denominator)
         else:
             log_value = math.log(f)
         return cls(value, min(0.0, log_value))
@@ -264,7 +267,7 @@ def _sum_walk(N: int, n: int, walk, rational: bool) -> int | float:
             total += term
             p, q = p + dp, q + dq
             dp, dq = dp + step, dq + step
-        if term * r < _TRUNCATION * total * (1 - r):
+        if term * r < 2.0**-55 * total:
             break
     log_value = _log_pmf(N, M, n, k) + math.log(total)
     return math.log(-math.expm1(log_value)) if flip else log_value
@@ -286,9 +289,10 @@ def _log_add(a: float, b: float) -> float:
     return hi if lo == float("-inf") else hi + math.log1p(math.exp(lo - hi))
 
 
-def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
+def _priced(N: int, n: int, walks, mode: str, inside=()) -> ExactProb:
     """The sum of the walks' tails as one ExactProb, all on the path that "auto"
-    prices (module docstring); a walk of no terms is an exact 0, or 1 if flipped."""
+    prices (module docstring); a walk of no terms is an exact 0, or 1 if flipped.
+    The rational path sums the equal flipped walk `inside` when it is shorter."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     summed, aside, terms = [], 0, 0
@@ -306,6 +310,8 @@ def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
     if summed and not rational and N > _LOG_LIMIT:
         raise DomainError('the log path takes N <= 10^150; mode="rational" takes any N')
     if rational:
+        if inside and inside[3] < terms:
+            summed, aside = ([inside], 0) if inside[3] else ([], 1)
         whole = math.comb(N, n) if summed else 1
         total = aside * whole
         for walk in summed:
@@ -318,15 +324,22 @@ def _priced(N: int, n: int, walks, mode: str) -> ExactProb:
     return ExactProb.from_log(functools.reduce(_log_add, parts))
 
 
-def _check_sample(pop, n) -> tuple[Population, int, int]:
-    """The population, its required positive count M, and 0 <= n <= N."""
+def _check_sample(pop, n) -> tuple[int, int, int]:
+    """N, the required positive count M, and 0 <= n <= N; an (N, M) tuple is
+    checked as Population checks it, without building one."""
+    if isinstance(pop, tuple) and len(pop) == 2 and pop[1] is not None:
+        N = check_range(pop[0], "N", 1)
+        return N, check_range(pop[1], "M", 0, N), check_range(n, "n", 0, N)
     pop = as_population(pop)
-    return pop, pop.require_positives(), check_range(n, "n", 0, pop.N)
+    return pop.N, pop.require_positives(), check_range(n, "n", 0, pop.N)
 
 
 def _outside(N: int, M: int, n: int, lo: int, hi: int, mode: str) -> ExactProb:
-    """P[i < lo] + P[i > hi], both walks priced at once so that "auto" takes one path."""
-    return _priced(N, n, (_walk(N, N - M, n, n - lo + 1), _walk(N, M, n, hi + 1)), mode)
+    """P[i < lo] + P[i > hi], both walks priced at once so that "auto" takes one path;
+    no outcome of the support lies in hi < i < lo, so it is also 1 - P[lo <= i <= hi]."""
+    start, end = _support(N, M, n)
+    inside = (True, M, max(lo, start), max(0, min(hi, end) - max(lo, start) + 1))
+    return _priced(N, n, (_walk(N, N - M, n, n - lo + 1), _walk(N, M, n, hi + 1)), mode, inside)
 
 
 def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
@@ -336,10 +349,10 @@ def pmf(pop, n: int, i: int, *, mode: str = "auto") -> ExactProb:
     (for example i > M) are inside that range and simply have
     probability zero.
     """
-    pop, M, n = _check_sample(pop, n)
+    N, M, n = _check_sample(pop, n)
     i = check_range(i, "i", 0, n)
-    lo, hi = _support(pop.N, M, n)
-    return _priced(pop.N, n, [(False, M, i, int(lo <= i <= hi))], mode)
+    lo, hi = _support(N, M, n)
+    return _priced(N, n, [(False, M, i, int(lo <= i <= hi))], mode)
 
 
 def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
@@ -349,9 +362,9 @@ def lower_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     covers the whole support (probability 1) for k >= n.  The symmetry
     transforms rely on those degenerate cases.
     """
-    pop, M, n = _check_sample(pop, n)
+    N, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
-    return _outside(pop.N, M, n, k + 1, n, mode)
+    return _outside(N, M, n, k + 1, n, mode)
 
 
 def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
@@ -360,9 +373,9 @@ def upper_tail(pop, n: int, k: int, *, mode: str = "auto") -> ExactProb:
     As with lower_tail, k may be any integer; k <= 0 gives probability 1
     and k > n gives probability 0.
     """
-    pop, M, n = _check_sample(pop, n)
+    N, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
-    return _outside(pop.N, M, n, 0, k - 1, mode)
+    return _outside(N, M, n, 0, k - 1, mode)
 
 
 def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
@@ -372,9 +385,9 @@ def two_sided_exact(pop, n: int, c, *, mode: str = "auto") -> ExactProb:
     (module docstring), so boundary outcomes where the deviation equals
     c exactly are included.
     """
-    pop, M, n = _check_sample(pop, n)
-    lo, hi = _outcome_range(pop.N, M, n, check_positive(c, "c"), pop.N, False)
-    return _outside(pop.N, M, n, lo, hi, mode)
+    N, M, n = _check_sample(pop, n)
+    lo, hi = _outcome_range(N, M, n, check_positive(c, "c"), N, False)
+    return _outside(N, M, n, lo, hi, mode)
 
 
 def flip_symmetry(pop, n: int, k: int) -> tuple[Population, int]:
@@ -385,9 +398,9 @@ def flip_symmetry(pop, n: int, k: int) -> tuple[Population, int]:
     lower_tail(pop, n, k) == upper_tail(*flip_symmetry(pop, n, k) ...)
     holds exactly.
     """
-    pop, _, n = _check_sample(pop, n)
+    N, M, n = _check_sample(pop, n)
     k = as_int(k, "k")
-    return pop.flipped(), n - k
+    return Population(N, N - M), n - k
 
 
 def swap_symmetry(pop, n: int, k: int) -> tuple[int, int]:
@@ -397,8 +410,8 @@ def swap_symmetry(pop, n: int, k: int) -> tuple[int, int]:
     Returns the complementary sample count and threshold.  Requires
     n < N so the complement sample is nonempty.
     """
-    pop, M, n = _check_sample(pop, n)
-    if n == pop.N:
+    N, M, n = _check_sample(pop, n)
+    if n == N:
         raise DomainError("n must satisfy n < N; the complement sample is empty")
     k = as_int(k, "k")
-    return pop.N - n, M - k
+    return N - n, M - k

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hypertail import exact
+from hypertail._validation import check_positive
 from hypertail import (
     DomainError,
     ExactProb,
@@ -623,3 +624,149 @@ class TestValidation:
     def test_unknown_positives_rejected(self):
         with pytest.raises(DomainError):
             pmf(Population(10), 5, 3)
+
+
+def _outside_terms(N, M, n, lo, hi):
+    """The terms of the two walks that P[i < lo] + P[i > hi] prices, and
+    the outcomes of the support in lo..hi: the two sides of the range."""
+    start, end = max(0, n - (N - M)), min(n, M)
+    walks = exact._walk(N, N - M, n, n - lo + 1), exact._walk(N, M, n, hi + 1)
+    return sum(walk[3] for walk in walks), max(0, min(hi, end) - max(lo, start) + 1)
+
+
+class TestRationalShorterSide:
+    """The rational path sums the outcomes outside a range or the ones
+    inside it, whichever are fewer; the result is the same Fraction."""
+
+    def test_every_small_population(self):
+        sides = set()
+        for N in range(1, 31):
+            for M, n in itertools.product(range(N + 1), repeat=2):
+                mean = Fraction(n * M, N)
+                for k in (n // 3, (2 * n) // 3):
+                    assert lower_tail((N, M), n, k, mode="rational").value == (
+                        oracles.lower_tail(N, M, n, k))
+                    assert upper_tail((N, M), n, k, mode="rational").value == (
+                        oracles.upper_tail(N, M, n, k))
+                for c in (Fraction(1, 3), mean - math.floor(mean) or 1,
+                          Fraction(n, 3) + Fraction(1, 4)):
+                    # The oracle's tails outside |iN - nM| < cN, found by enumeration.
+                    a, b = c.as_integer_ratio()
+                    kept = [i for i in range(n + 1) if abs(i * N - n * M) * b < a * N]
+                    lo, hi = (kept[0], kept[-1]) if kept else (1, 0)
+                    expected = oracles.lower_tail(N, M, n, lo - 1) + oracles.upper_tail(
+                        N, M, n, hi + 1) if kept else 1
+                    res = two_sided_exact((N, M), n, c, mode="rational")
+                    assert res.is_exact and res.value == expected
+                    outside, inside = _outside_terms(
+                        N, M, n, *exact._outcome_range(N, M, n, c, N, False))
+                    sides.add((outside > inside, inside == 0, outside == 0))
+        # The range was shorter, longer, empty, and the whole support.
+        assert {(True, False, False), (False, False, False), (True, True, False),
+                (False, False, True)} <= sides
+
+    def test_seeded_populations_to_ten_thousand(self):
+        rng = random.Random(20261021)
+        shorter = longer = 0
+        for _ in range(120):
+            N = rng.randint(31, 10**4)
+            M, n = rng.randint(0, N), rng.randint(0, min(N, 300))
+            mean = n * M / N
+            sd = math.sqrt(n * M * (N - M) * (N - n) / (N * N * max(N - 1, 1)))
+            # Near the mean the range is shorter; near the farther end of
+            # the support the walks outside it are.
+            c = rng.choice((rng.uniform(0.1, 4) * max(sd, 0.5),
+                            rng.uniform(0.6, 1.0) * max(mean, n - mean, 0.5)))
+            res = two_sided_exact((N, M), n, c, mode="rational")
+            assert res.is_exact and res.value == oracles.two_sided(N, M, n, c)
+            lo, hi = exact._outcome_range(N, M, n, check_positive(c, "c"), N, False)
+            outside, inside = _outside_terms(N, M, n, lo, hi)
+            shorter += inside < outside
+            longer += inside > outside
+            k = min(max(round(mean + rng.uniform(-3, 3) * sd), -1), n + 1)
+            assert lower_tail((N, M), n, k, mode="rational").value == (
+                oracles.lower_tail(N, M, n, k))
+            assert upper_tail((N, M), n, k, mode="rational").value == (
+                oracles.upper_tail(N, M, n, k))
+        assert shorter >= 20 and longer >= 20
+
+
+def _sum_to_the_end(N, n, walk, rational):
+    """exact._sum_walk's log walk with the same float operations, summing
+    every term to the end of the support, with no stop."""
+    if rational:
+        return _SUM_WALK(N, n, walk, rational)
+    flip, M, k, terms = walk
+    p, q = (M - k) * (n - k), (k + 1) * (N - M - n + k + 1)
+    dp, dq, step = 2 * k + 1 - M - n, N - M - n + 2 * k + 3, 2
+    if (N + 1) * (n + 1) < 2**53:
+        p, q, dp, dq, step = float(p), float(q), float(dp), float(dq), 2.0
+    term = total = 1.0
+    for _ in range(terms - 1):
+        r = p / q
+        term *= r
+        total += term
+        p, q = p + dp, q + dq
+        dp, dq = dp + step, dq + step
+    log_value = exact._log_pmf(N, M, n, k) + math.log(total)
+    return math.log(-math.expm1(log_value)) if flip else log_value
+
+
+_SUM_WALK = exact._sum_walk
+
+
+class TestLogWalkStop:
+    def test_stopped_walk_equals_the_walk_to_the_end(self, monkeypatch):
+        # The walk stops once no later term can change the float sum, so
+        # its results equal those of a walk over every term.
+        rng = random.Random(20261022)
+        calls, kinds = [], set()
+        for _ in range(400):
+            N = int(10 ** rng.uniform(2, 18))
+            M = rng.choice((rng.randint(0, N), rng.randint(0, min(N, 40)), N - rng.randint(0, 40)))
+            M = min(max(M, 0), N)
+            n = rng.randint(1, min(N, rng.choice((100, 3000, 20000))))
+            lo, hi = max(0, n - (N - M)), min(n, M)
+            mean = n * M / N
+            sd = math.sqrt(n * M * (N - M) * (N - n) / (N * N * (N - 1)))
+            k = min(max(round(mean + rng.uniform(-6, 6) * sd), lo), hi)
+            kinds.add(((N + 1) * (n + 1) < 2**53, k * (N + 2) < (n + 1) * (M + 1),
+                       hi - k < 30))
+            calls += [
+                (lower_tail, (N, M), n, k),
+                (upper_tail, (N, M), n, k),
+                (two_sided_exact, (N, M), n, rng.uniform(0.1, 6) * sd + 0.5),
+            ]
+        # Float and int counters, both sides of the mode, and walks that
+        # meet the end of the support within a few terms.
+        assert {kind[:2] for kind in kinds} == set(itertools.product((True, False), repeat=2))
+        assert any(kind[2] for kind in kinds)
+        stopped = [call(*args, mode="log") for call, *args in calls]
+        monkeypatch.setattr(exact, "_sum_walk", _sum_to_the_end)
+        assert [call(*args, mode="log") for call, *args in calls] == stopped
+
+
+class TestAutoPathAtTheBudget:
+    def test_two_sided_path_follows_the_outside_price(self):
+        # "auto" prices the two outside walks, whichever side the rational
+        # path then sums, so its choice of path is the price's.
+        rng = random.Random(20261023)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 12:
+            N = int(10 ** rng.uniform(3, 7))
+            M, n = rng.randint(1, N - 1), rng.randint(1, min(N - 1, 4000))
+            sd = math.sqrt(n * M * (N - M) * (N - n) / (N * N * (N - 1)))
+            c = rng.uniform(0.2, 5) * sd + 0.5
+            lo, hi = exact._outcome_range(N, M, n, check_positive(c, "c"), N, False)
+            walks = exact._walk(N, N - M, n, n - lo + 1), exact._walk(N, M, n, hi + 1)
+            terms, summed = sum(w[3] for w in walks), sum(1 for w in walks if w[3])
+            k = min(n, N - n)
+            bits = k * (math.log2(N) - math.log2(k) + math.log2(math.e))
+            price = bits * (terms + summed * bits / 16)
+            if not exact.RATIONAL_BUDGET / 4 < price < 4 * exact.RATIONAL_BUDGET:
+                continue
+            rational = price <= exact.RATIONAL_BUDGET
+            if seen[rational] >= 12:
+                continue
+            seen[rational] += 1
+            assert two_sided_exact((N, M), n, c).is_exact == rational
