@@ -98,7 +98,18 @@ def _closed_form(family: BoundFamily, N, n, t, two_sided=False) -> BoundValue:
     N, n, t = _check_nt(N, n, t)
     if family is BoundFamily.AUTO:
         family = BoundFamily.B2 if 2 * n <= N or n == N else BoundFamily.B4
-    return _clamped(-2.0 * t * t * n * _coefficient(family, N, n), family, two_sided)
+    try:
+        exponent = -2.0 * t * t * n * _coefficient(family, N, n)
+    except OverflowError:  # n past the largest float
+        exponent = _overflowed(-2.0 * t * t * _coefficient(family, N, n), n)
+    return _clamped(exponent, family, two_sided)
+
+
+def _overflowed(rate: float, n: int) -> float:
+    """The exponent rate * n at an n past the largest float: -inf if it overflows."""
+    if rate < 0 and math.log(-rate) + math.log(n) > 709.782712893384:  # log(1.8e308)
+        return -math.inf
+    raise DomainError("the bounds compute in floats; n passes the largest float, 1.8e308")
 
 
 def _kl_exponent(N: int, M: int, n: int, t) -> float:
@@ -119,10 +130,11 @@ def _kl_exponent(N: int, M: int, n: int, t) -> float:
         exponent = n * math.log(p)
         return exponent + 2.0**-51 * (n + 1 - exponent)
     remainder = rest / (N * b)
-    return n * (
-        shifted * math.log(p / shifted)
-        + remainder * math.log(((N - M) / N) / remainder)
-    )
+    rate = shifted * math.log(p / shifted) + remainder * math.log(((N - M) / N) / remainder)
+    try:
+        return n * rate
+    except OverflowError:  # n past the largest float
+        return _overflowed(rate, n)
 
 
 def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:

@@ -97,10 +97,13 @@ def _check_query(N, n, i) -> tuple[int, int, int]:
 def _interval(N, n, i, halfwidth, delta, formula, vacuous=False, legacy=False):
     """halfwidth as typed; the result reports it as a float."""
     estimate = Fraction(i * N, n)
-    width = Fraction(halfwidth)
-    a, b = width.as_integer_ratio()
-    centre, shift, scale = i * N * b, a * n, n * b
-    lower, upper = (centre - shift) / scale, (centre + shift) / scale
+    try:
+        width = Fraction(halfwidth)
+        a, b = width.as_integer_ratio()
+        centre, shift, scale = i * N * b, a * n, n * b
+        lower, upper = (centre - shift) / scale, (centre + shift) / scale
+    except OverflowError:  # a half-width or end past the largest float
+        raise DomainError("this interval passes the largest float, about 1.8e308") from None
     return IntervalResult(
         estimate=estimate,
         halfwidth=float(halfwidth),
@@ -163,6 +166,8 @@ def _from_halfwidth(N, n, i, c, legacy=False) -> IntervalResult:
     except OverflowError:  # N above about 1.3e154: divide c by N first
         real, square = real / N, 1.0
     raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * real * real * n * g / square)
+    if not raw and g and square > 1.0 and -2.0 * real * real * n * g == -math.inf:
+        raw = 2.0 * math.exp(-2.0 * (real / N) * (real / N) * n * g)  # c / N first
     vacuous = raw >= 1.0
     return _interval(N, n, i, c, min(1.0, raw), formula, vacuous=vacuous, legacy=legacy)
 

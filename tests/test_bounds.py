@@ -410,3 +410,27 @@ def _closed_forms(N, n, t):
     if n < N:
         yield "b3", b3_tail(N, n, t).value
         yield "b4", b4_tail(N, n, t).value
+
+
+class TestSamplesPastTheFloatRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: tail_bound(10**400, 10**399, 0.1),
+            lambda: concentration_bound(10**400, 10**399, 0.1),
+            lambda: b1_tail(10**399, Fraction(1, 10)),
+            lambda: tail_bound(10**400, 10**399, 0.1, BoundFamily.B3),
+            lambda: tail_bound(10**400, 10**399, 0.1, BoundFamily.KL, 10**399),
+            lambda: concentration_bound(10**400, 10**399, 0.1, BoundFamily.KL, 10**399),
+            lambda: kl_upper_tail_bound((10**400, 3 * 10**399), 10**399, 0.25),
+        ],
+    )
+    def test_an_exponent_that_overflows_gives_zero(self, call):
+        # n = 10^399 is past the largest float, and so is t^2 n g.
+        res = call()
+        assert res.value == 0.0 and res.exponent == float("-inf")
+
+    def test_an_exponent_that_may_not_overflow_is_refused(self):
+        # 2 t^2 n g is about 0.2 here, but no float holds n = 10^399.
+        with pytest.raises(DomainError, match="n passes the largest float"):
+            tail_bound(10**400, 10**399, 1e-200)

@@ -708,3 +708,20 @@ class TestSubcommandResults:
             float(v) for k, v in first["results"].items() if k.startswith("frequency_")
         )
         assert total == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ci", "--population", str(10**308), "--samples", "1", "--observed", "0",
+         "--delta", "1e-300"],
+        ["confidence", "--population", str(10**308), "--samples", "2", "--observed", "2",
+         "--halfwidth", "1.7e308"],
+    ],
+    ids=["ci", "confidence"],
+)
+def test_interval_past_the_largest_float_exits_2(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: this interval passes the largest float, about 1.8e308\n"
+    )

@@ -337,3 +337,30 @@ class TestValidation:
         for plan in (required_sample_size, sample_size_lower_estimate):
             with pytest.raises(DomainError, match="n = 0 samples"):
                 plan(N, 0.05, N)
+
+
+class TestFloatRangeEdges:
+    @pytest.mark.parametrize("exponent", range(150, 155))
+    def test_miscoverage_where_the_product_overflows(self, exponent):
+        # c = N/5, n = 100: c * c * n * g passes the largest float from
+        # about N = 10^154 on, before the division by N * N.
+        N, n = 10**exponent, 100
+        g = N / (N - n + 1)
+        res = confidence_for_halfwidth(N, n, 50, 2 * 10 ** (exponent - 1))
+        assert res.delta == pytest.approx(2 * math.exp(-2 * 0.2**2 * n * g), rel=1e-12)
+        legacy = b1_confidence_for_halfwidth(N, n, 50, 2 * 10 ** (exponent - 1))
+        assert legacy.delta == pytest.approx(2 * math.exp(-2 * 0.2**2 * n), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # The half-width N sqrt(...) passes the largest float.
+            lambda: halfwidth_for_confidence(10**308, 1, 0, 1e-300),
+            lambda: b1_halfwidth_for_confidence(10**308, 1, 0, 1e-300),
+            # The upper end (i N / n + c) does.
+            lambda: confidence_for_halfwidth(10**308, 2, 2, 1.7e308),
+        ],
+    )
+    def test_interval_past_the_largest_float(self, call):
+        with pytest.raises(DomainError, match="passes the largest float"):
+            call()
