@@ -13,6 +13,10 @@ line.  It covers:
 - `two_sided_exact` in "auto" and "log" at every N <= 40, M and n, for
   six deviations c;
 - 3,000 seeded log-path calls of all four at N from 10^5 to 10^8;
+- 5,000 seeded "rational" tails and two-sided calls at N up to 10^4 and
+  n up to 2 * 10^3, with thresholds and deviations both near the mean
+  (the range inside is shorter than the walks outside it) and near the
+  ends of the support (the walks are shorter);
 - two calls that cost about a second on the rational path, at the edge of
   an earlier `RATIONAL_BUDGET` (3 * 10^9), far beyond today's;
 - all four in "auto" at N = RATIONAL_LIMIT, RATIONAL_LIMIT + 1, 10^8,
@@ -90,8 +94,8 @@ EXTRA_ARGV = (
 )
 
 #: the sections whose every record is a `_prob` value.
-PROB_SECTIONS = ("exact-small", "two-sided-small", "log-path", "budget-edge", "auto-large",
-                 "auto-mid")
+PROB_SECTIONS = ("exact-small", "two-sided-small", "log-path", "rational", "budget-edge",
+                 "auto-large", "auto-mid")
 
 #: populations (N, M, n) for the runs of more than one block.
 MULTI_BLOCK_POPULATIONS = ((60, 24, 30), (1000, 400, 500), (4 * 10**7, 2 * 10**7, 10**7))
@@ -139,6 +143,23 @@ def _log_path(h):
             x = rng.randint(0, n)
         yield f"{name}({N}, {M}), {n}, {x!r}", _prob(
             getattr(h, name), (N, M), n, x, mode="log")
+
+
+def _rational(h):
+    rng = random.Random("compare-outputs/rational")
+    for _ in range(5_000):
+        N = int(10 ** rng.uniform(2, 4))
+        M, n = rng.randint(0, N), rng.randint(0, min(N, 2_000))
+        mean, sd = n * M / N, math.sqrt(n * M * (N - M) * (N - n) / (N * N * max(N - 1, 1)))
+        far = max(mean, n - mean)  # the distance to the farther end of the support
+        name = rng.choice(("lower_tail", "upper_tail", "two_sided_exact"))
+        if name == "two_sided_exact":
+            x = rng.choice((rng.uniform(0.1, 4) * sd, rng.uniform(0.5, 1.0) * far)) or 0.5
+        else:
+            x = round(mean + rng.choice((-1, 1)) * rng.choice((rng.uniform(0, 4) * sd,
+                                                               rng.uniform(0.5, 1.0) * far)))
+        yield f"{name}({N}, {M}), {n}, {x!r}", _prob(
+            getattr(h, name), (N, M), n, x, mode="rational")
 
 
 def _budget_edge(h):
@@ -255,6 +276,7 @@ SECTIONS = {
     "exact-small": _exact_small,
     "two-sided-small": _two_sided_small,
     "log-path": _log_path,
+    "rational": _rational,
     "budget-edge": _budget_edge,
     "auto-large": _auto_large,
     "auto-mid": _auto_mid,
