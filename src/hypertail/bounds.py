@@ -21,11 +21,13 @@ B1 and B2 exactly when n > N/2, and the pairs coincide at n = N/2.  AUTO
 is B2 for 2n <= N or n = N and B4 otherwise; correctly rounded quotients
 keep their order, so its one exponent is always the smaller of the two.
 Each bound is clamped to 1 on return; the unclamped log survives in
-``BoundValue.exponent``.  One- and two-sided bounds share one dispatch,
-which checks the arguments once and builds one ``BoundValue``.  The
-confidence intervals and miscoverages of `hypertail.inference` (C1/C2,
-D1/D2 and the legacy B1 forms) invert this exponent for the g of B2, B4
-and B1.
+``BoundValue.exponent``.  Every exponent is a rate times n; at an n past
+the largest float it is -inf where it overflows, else DomainError, and a
+g past the largest float (only there) is inf.  One- and two-sided bounds
+share one dispatch, which checks the arguments once and builds one
+``BoundValue``.  The confidence intervals and miscoverages of
+`hypertail.inference` (C1/C2, D1/D2 and the legacy B1 forms) invert this
+exponent for the g of B2, B4 and B1.
 """
 
 from __future__ import annotations
@@ -82,34 +84,36 @@ def _check_nt(N, n, t):
 
 
 def _coefficient(family: BoundFamily, N, n: int) -> float:
-    """The coefficient g(N, n) of the exponent -2 t^2 n g (module table)."""
+    """The coefficient g(N, n) of the exponent -2 t^2 n g (module table), or inf."""
     if family is BoundFamily.B1:
         return 1.0
-    if family is BoundFamily.B2:
-        return N / (N - n + 1)
-    if n >= N:
-        raise UnsupportedBoundError(f"n must satisfy n < N = {N}, got {n}")
-    if family is BoundFamily.B3:
-        return n / (N - n)
-    return (n * N) / ((N - n) * (n + 1))
+    try:
+        if family is BoundFamily.B2:
+            return N / (N - n + 1)
+        if n >= N:
+            raise UnsupportedBoundError(f"n must satisfy n < N = {N}, got {n}")
+        if family is BoundFamily.B3:
+            return n / (N - n)
+        return (n * N) / ((N - n) * (n + 1))
+    except OverflowError:  # g <= N; this needs N and n past the largest float
+        return math.inf
+
+
+def _times_n(rate: float, n: int, g: float = 1.0) -> float:
+    """The exponent rate * n * g, in that order, under the module's overflow rule."""
+    try:
+        return rate * n * g
+    except OverflowError:  # n past the largest float
+        if rate * g < 0 and math.log(-rate * g) + math.log(n) > 709.782712893384:  # log(1.8e308)
+            return -math.inf
+        raise DomainError("the bounds compute in floats; n passes the largest float, 1.8e308")
 
 
 def _closed_form(family: BoundFamily, N, n, t, two_sided=False) -> BoundValue:
     N, n, t = _check_nt(N, n, t)
     if family is BoundFamily.AUTO:
         family = BoundFamily.B2 if 2 * n <= N or n == N else BoundFamily.B4
-    try:
-        exponent = -2.0 * t * t * n * _coefficient(family, N, n)
-    except OverflowError:  # n past the largest float
-        exponent = _overflowed(-2.0 * t * t * _coefficient(family, N, n), n)
-    return _clamped(exponent, family, two_sided)
-
-
-def _overflowed(rate: float, n: int) -> float:
-    """The exponent rate * n at an n past the largest float: -inf if it overflows."""
-    if rate < 0 and math.log(-rate) + math.log(n) > 709.782712893384:  # log(1.8e308)
-        return -math.inf
-    raise DomainError("the bounds compute in floats; n passes the largest float, 1.8e308")
+    return _clamped(_times_n(-2.0 * t * t, n, _coefficient(family, N, n)), family, two_sided)
 
 
 def _kl_exponent(N: int, M: int, n: int, t) -> float:
@@ -127,14 +131,11 @@ def _kl_exponent(N: int, M: int, n: int, t) -> float:
     if shifted == 1.0:
         # p^n, which the tail equals at n = 1: raised past the rounding
         # error of p, the log and exp, so the float never undercuts it.
-        exponent = n * math.log(p)
-        return exponent + 2.0**-51 * (n + 1 - exponent)
+        exponent = _times_n(math.log(p), n)
+        return exponent + 2.0**-51 * (n + 1 - exponent) if exponent > -math.inf else exponent
     remainder = rest / (N * b)
     rate = shifted * math.log(p / shifted) + remainder * math.log(((N - M) / N) / remainder)
-    try:
-        return n * rate
-    except OverflowError:  # n past the largest float
-        return _overflowed(rate, n)
+    return _times_n(rate, n)
 
 
 def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:

@@ -304,7 +304,7 @@ def _priced(N: int, n: int, walks, mode: str, inside=()) -> ExactProb:
             aside += walk[0]
     rational = mode == "rational"
     if mode == "auto":
-        k = min(n, N - n)
+        k = min(n, N - n, RATIONAL_BUDGET)  # a larger k prices past the budget too
         bits = k and k * (math.log2(N) - math.log2(k) + math.log2(math.e))
         rational = bits * (terms + len(summed) * bits / 16) <= RATIONAL_BUDGET
     if summed and not rational and N > _LOG_LIMIT:

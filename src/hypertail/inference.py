@@ -16,8 +16,9 @@ algebraic inverses of each other, and the pairs produce equal values at
 n = N/2.  A census (n = N) has a zero-width interval and miscoverage 0.
 The estimate and the half-width as typed stay exact rationals; with
 c = a/b, each endpoint is the one integer quotient (i N b -/+ a n) / (n b),
-correctly rounded, so it equals float() of the rational endpoint.  The
-closed forms compute in floats of N and take N up to the largest float.
+correctly rounded, so it equals float() of the rational endpoint, and
+delta is 2 exp(-2 (u n)(u g)) with u = c/N = a/(b N) one such quotient:
+no N * N is formed.  The closed forms take N up to the largest float.
 
 The sample-size planner inverts the c(n) relation: with x = (N/c)^2 and
 y = -(1/2) ln(delta/2), the smallest real n with half-width at most c is
@@ -157,17 +158,10 @@ def _from_delta(N, n, i, delta, legacy=False) -> IntervalResult:
 def _from_halfwidth(N, n, i, c, legacy=False) -> IntervalResult:
     N, n, i = _check_query(N, n, i)
     c = check_positive(c, "c")  # an int or Fraction is kept as typed
-    real = float(c)
     g, (_, formula) = _link(N, n, legacy)
-    # c * c / (N * N), not (c / N) ** 2: a float power raises
-    # OverflowError where this product overflows to inf (delta 0).
-    try:
-        square = float(N * N)
-    except OverflowError:  # N above about 1.3e154: divide c by N first
-        real, square = real / N, 1.0
-    raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * real * real * n * g / square)
-    if not raw and g and square > 1.0 and -2.0 * real * real * n * g == -math.inf:
-        raw = 2.0 * math.exp(-2.0 * (real / N) * (real / N) * n * g)  # c / N first
+    a, b = c.as_integer_ratio()
+    u = a / (b * N)  # c / N, rounded once; with n and g in 1..N, u n and u g lie in u..c
+    raw = 0.0 if g is None else 2.0 * math.exp(-2.0 * (u * n) * (u * g))
     vacuous = raw >= 1.0
     return _interval(N, n, i, c, min(1.0, raw), formula, vacuous=vacuous, legacy=legacy)
 

@@ -434,3 +434,24 @@ class TestSamplesPastTheFloatRange:
         # 2 t^2 n g is about 0.2 here, but no float holds n = 10^399.
         with pytest.raises(DomainError, match="n passes the largest float"):
             tail_bound(10**400, 10**399, 1e-200)
+
+
+class TestCoefficientPastTheFloatRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # g = N / (N - n + 1) and the B4 g pass the largest float.
+            lambda: tail_bound(10**400, 10**400, 0.1),
+            lambda: concentration_bound(10**400, 10**400 - 5, 0.1),
+            # The KL bound's p^n branch, at p + t = 1.
+            lambda: kl_upper_tail_bound((10**400, 10**399), 10**399, Fraction(9, 10)),
+        ],
+    )
+    def test_an_exponent_that_overflows_gives_zero(self, call):
+        res = call()
+        assert res.value == 0.0 and res.exponent == float("-inf")
+
+    def test_p_to_the_n_that_overflows_in_floats_gives_zero(self):
+        # n log p = 10^308 log(0.1) is -inf as a float, with n a float.
+        res = kl_upper_tail_bound((10**308, 10**307), 10**308, Fraction(9, 10))
+        assert res.value == 0.0 and res.exponent == float("-inf")

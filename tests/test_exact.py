@@ -634,6 +634,27 @@ def _outside_terms(N, M, n, lo, hi):
     return sum(walk[3] for walk in walks), max(0, min(hi, end) - max(lo, start) + 1)
 
 
+class TestPricePastTheFloatRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # k = min(n, N - n) = 10^399 is past the largest float; "auto"
+            # prices it past the budget, and the log path refuses N.
+            lambda: upper_tail((10**400, 10), 10**399, 5),
+            lambda: pmf((10**400, 10), 10**399, 1),
+        ],
+    )
+    def test_auto_refuses_by_name(self, call):
+        with pytest.raises(DomainError, match="log path"):
+            call()
+
+    def test_a_short_walk_stays_exact(self):
+        # k = N - n = 2 prices within the budget; N - 5 is the support's low end.
+        N = 10**400
+        res = lower_tail((N, N - 3), N - 2, N - 5)
+        assert res.is_exact and res.value == Fraction((N - 3) * (N - 4), N * (N - 1))
+
+
 class TestRationalShorterSide:
     """The rational path sums the outcomes outside a range or the ones
     inside it, whichever are fewer; the result is the same Fraction."""

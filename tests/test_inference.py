@@ -364,3 +364,62 @@ class TestFloatRangeEdges:
     def test_interval_past_the_largest_float(self, call):
         with pytest.raises(DomainError, match="passes the largest float"):
             call()
+
+
+def _reference_exponent(N, n, c, legacy):
+    """-2 (c/N)^2 n g as an exact rational, or None at a census."""
+    if legacy:
+        g = Fraction(1)
+    elif 2 * n <= N:
+        g = Fraction(N, N - n + 1)
+    elif n == N:
+        return None
+    else:
+        g = Fraction(n * N, (N - n) * (n + 1))
+    return -2 * Fraction(c) ** 2 * n * g / (N * N)
+
+
+class TestMiscoverageFromTheRatio:
+    """delta = 2 exp(-2 (u n)(u g)) with u = c/N, which stays in the float
+    range wherever the exponent does, however large N is."""
+
+    def test_a_tiny_ratio_is_not_vacuous(self):
+        # u = 10^-200 squared underflows; u n and u g are each 10^100.
+        res = confidence_for_halfwidth(10**300, 10**300 - 1, 0, 10**100)
+        assert res.delta == 0.0 and not res.vacuous
+        # u n and u g are each about 1, so the exponent is -2.
+        N = 2 * 10**306
+        res = confidence_for_halfwidth(N, N - 1, 0, 1)
+        assert res.delta == pytest.approx(2 * math.exp(-2), rel=1e-12)
+        assert not res.vacuous
+
+    def test_seeded_sweep_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261021)
+        kinds = set()
+        for _ in range(2_000):
+            N = int(10 ** rng.uniform(0, 307))
+            n = rng.choice((1, rng.randint(1, N), N // 2 or 1, min(N // 2 + 1, N),
+                            max(1, N - rng.randint(1, 5)), N))
+            legacy = rng.random() < 0.2
+            # About sqrt(g), in factors that stay in the float range.
+            root_g = 1 if legacy else math.sqrt(N / (N - n + 1)) * (
+                1 if 2 * n <= N else math.sqrt(n / (n + 1)))
+            # A target exponent from 10^-4 (vacuous) to about 10^4 (delta 0).
+            u = math.sqrt(10 ** rng.uniform(-4, 4) / 2) / math.sqrt(n) / root_g
+            c = min(u * N, 1e308)
+            c = rng.choice((c, max(1, round(c)), Fraction(max(1, round(c)) * 7 + 1, 7)))
+            call = b1_confidence_for_halfwidth if legacy else confidence_for_halfwidth
+            res = call(N, n, 0, c)
+            exponent = _reference_exponent(N, n, c, legacy)
+            if exponent is None:
+                assert res.delta == 0.0 and not res.vacuous
+                continue
+            with mpmath.workdps(30):
+                raw = 2 * mpmath.exp(mpmath.mpf(exponent.numerator) / exponent.denominator)
+                ref = min(raw, 1)
+                slack = 1e-12 * max(1, -float(exponent)) * ref + 1e-322
+                assert abs(res.delta - ref) <= slack, (N, n, c, legacy, res.delta, ref)
+            assert res.vacuous == (raw >= 1), (N, n, c, legacy)
+            kinds.add((res.vacuous, res.delta == 0.0))
+        assert kinds == {(True, False), (False, False), (False, True)}
