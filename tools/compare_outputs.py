@@ -48,7 +48,9 @@ if there are any.  For each section of probabilities that differ it
 also prints how many differ, how many changed type (Fraction or float)
 and the worst relative difference |expm1(log_new - log_old)|, read from
 the records' logs (a Fraction's from its value); an error record differs
-but has no such difference.  The two processes
+but has no such difference.  For `closed-form` it prints how many records
+differ only in `delta=`, the worst relative move of that delta, and per
+call how many went from an error to a value or back.  The two processes
 run side by side; on two cores (Python 3.11) the sweep takes 35-50 s.
 """
 
@@ -61,6 +63,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -347,6 +350,36 @@ def _moved(pairs: list) -> str:
     return f"{len(pairs)} differ, {changed} changed type, worst relative difference {worst}"
 
 
+_DELTA = re.compile(r"delta=([^,)]+)")
+_ERROR = re.compile(r"\w+: ")
+
+
+def _call_and_value(record: str | None) -> tuple[str, str]:
+    """A record's call name and value; empty for a missing record."""
+    _, key, value = ((record or "").rstrip("\n").split(" | ", 2) + ["", ""])[:3]
+    return key.split("(", 1)[0], value
+
+
+def _closed_moved(pairs: list) -> str:
+    """How a `closed-form` section's differing records moved: how many differ
+    only in `delta=` and by how much relatively, and per call how many went
+    from an error to a value or back."""
+    only_delta, worst, flips = 0, 0.0, {}
+    for old, new in pairs:
+        call, old = _call_and_value(old)
+        new = _call_and_value(new)[1]
+        if _DELTA.search(old) and _DELTA.sub("", old) == _DELTA.sub("", new):
+            only_delta += 1
+            a, b = (float(_DELTA.search(value).group(1)) for value in (old, new))
+            worst = max(worst, abs(b - a) / abs(a) if a else math.inf)
+        elif bool(_ERROR.match(old)) != bool(_ERROR.match(new)):
+            flip = f"{call} {'error -> value' if _ERROR.match(old) else 'value -> error'}"
+            flips[flip] = flips.get(flip, 0) + 1
+    shown = ", ".join(f"{flip} {count}" for flip, count in sorted(flips.items())) or "none"
+    return (f"{len(pairs)} differ, {only_delta} only in delta= (worst relative move "
+            f"{worst:.2g}); {shown}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         _emit(argv[1])
@@ -365,13 +398,18 @@ def main(argv: list[str]) -> int:
                 print(f"- {_shown(old)}\n+ {_shown(new)}")
             if section in PROB_SECTIONS:
                 moved.setdefault(section, []).append((_read_prob(old), _read_prob(new)))
+            elif section == "closed-form":
+                moved.setdefault(section, []).append((old, new))
     if parent.wait() or change.wait():
         print("error: a sweep process failed", file=sys.stderr)
         return 2
     for section, count in counts.items():
         print(f"{section}: {count} records")
     for section, pairs in moved.items():
-        print(f"{section} probabilities: {_moved(pairs)}")
+        if section == "closed-form":
+            print(f"{section} records: {_closed_moved(pairs)}")
+        else:
+            print(f"{section} probabilities: {_moved(pairs)}")
     print(f"{differences} differences")
     return 1 if differences else 0
 
