@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -394,7 +395,6 @@ class TestMiscoverageFromTheRatio:
         assert not res.vacuous
 
     def test_seeded_sweep_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(20261021)
         kinds = set()
         for _ in range(2_000):
