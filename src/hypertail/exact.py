@@ -44,10 +44,12 @@ integer floor division on the bound's exact ratio.
 The log pmf is Loader's saddle-point form in O(1) (C. Loader, "Fast and
 Accurate Computation of Binomial Probabilities", 2000; R's dhyper):
 log h = log b(i; M, p) + log b(n - i; N - M, p) - log b(n; N, p) at
-p = n / N, each binomial log pmf made of stirlerr and bd0 terms.  Every
-mean and deviation x - m p = +-(i N - M n) / N in them is a quotient of
-integers rounded once.  Against mpmath the pmf is then within 3e-13
-relative wherever it is a normal double, up to N = 10^8.
+p = n / N, each binomial log pmf made of stirlerr and bd0 terms.  Each
+float in them is a quotient of integers rounded once, as x - m p =
++-(i N - M n) / N, or the log of an integer: the log path takes any N and
+n up to the largest float, 1.8e308 (the rational path min(n, N - n) < 2^63,
+math.comb's range; DomainError past either).  Against mpmath the pmf is
+within 3e-13 relative wherever it is a normal double, at N up to 10^1000.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ RATIONAL_LIMIT = 1_000_000
 RATIONAL_BUDGET = 25_000_000
 
 _MODES = ("auto", "rational", "log")
-#: Largest N at which the log path sums a walk; its floats overflow near N = 10^154.
-_LOG_LIMIT = 10**150
 
 #: _bd0's series stops once its next term is below this fraction of its
 #: total.
@@ -104,10 +104,6 @@ class Population:
     def positive_fraction(self) -> Fraction:
         """p = M/N as an exact rational."""
         return Fraction(self.require_positives(), self.N)
-
-    def flipped(self) -> "Population":
-        """The same population with positive and negative labels swapped."""
-        return Population(self.N, self.N - self.require_positives())
 
 
 @dataclass(frozen=True)
@@ -182,21 +178,23 @@ _STIRLERR = (
 
 
 def _stirlerr(k: int) -> float:
-    """The table, else the Stirling series to 1/k^9 (next term < 2e-16)."""
+    """The table, else the Stirling series to 1/k^9 (next term < 2e-16) in r = 1/k."""
     if k < len(_STIRLERR):
         return _STIRLERR[k]
-    u = 1.0 / (k * k)
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) / k
+    r = 1 / k
+    u = r * r
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) * r
 
 
 def _bd0(x: int, a: int, N: int) -> float:
     """x log(x / m) + m - x at m = a / N > 0, by the odd series in
-    v = (x - m) / (x + m) while |v| < 1/2."""
-    m, d = a / N, (x * N - a) / N
-    v = d / (x + m)
+    v = (xN - a) / (xN + a) from 2xv = d (1 + v), d = (xN - a) / N, while
+    |v| < 1/2; x / m is the quotient xN / a wherever it fits a float."""
+    xN = x * N
+    v, d = (xN - a) / (xN + a), (xN - a) / N
     if abs(v) >= 0.5:
-        return x * math.log(x / m) - d
-    total, term, j = d * v, 2 * x * v, 1
+        return x * (math.log(xN / a) if xN >> 1000 < a else math.log(xN) - math.log(a)) - d
+    total, term, j = d * v, d * (1 + v), 1
     while abs(term) > _TRUNCATION * total:
         term *= v * v
         j += 2
@@ -205,24 +203,21 @@ def _bd0(x: int, a: int, N: int) -> float:
 
 
 def _log_pmf(N: int, M: int, n: int, i: int) -> float:
-    """Natural log of the pmf (module docstring) at i in the support,
-    with log p and log q each taken where it does not cancel."""
+    """Natural log of the pmf (module docstring) at i in the support, with
+    log(x y / m) = log s + log1p(-s / m) at s = min(x, y)."""
     lo, hi = _support(N, M, n)
     if lo == hi:
         return 0.0  # n or M is 0 or N: a single, certain outcome
-    if 2 * n <= N:
-        log_p, log_q = math.log(n / N), math.log1p(-n / N)
-    else:
-        log_p, log_q = math.log1p((n - N) / N), math.log((N - n) / N)
     total = 0.0
     for x, m, sign in ((i, M, 1), (n - i, N - M, 1), (n, N, -1)):
-        y = m - x
-        if x == 0 or y == 0:  # b(x; m, p) is q^m or p^m
-            total += sign * m * (log_q if x == 0 else log_p)
+        y, s = m - x, min(x, m - x)
+        if s == 0:  # b(x; m, p) is q^m = -(bd0(m, m q) + m p), or p^m its mirror
+            a = m * (N - n) if x == 0 else m * n
+            total -= sign * (_bd0(m, a, N) + (m * N - a) / N)
             continue
         total += sign * (
             _stirlerr(m) - _stirlerr(x) - _stirlerr(y) - _bd0(x, m * n, N)
-            - _bd0(y, m * (N - n), N) - 0.5 * math.log(2 * math.pi * x * y / m)
+            - _bd0(y, m * (N - n), N) - 0.5 * (math.log(2 * math.pi * s) + math.log1p(-s / m))
         )
     return total
 
@@ -307,11 +302,14 @@ def _priced(N: int, n: int, walks, mode: str, inside=()) -> ExactProb:
         k = min(n, N - n, RATIONAL_BUDGET)  # a larger k prices past the budget too
         bits = k and k * (math.log2(N) - math.log2(k) + math.log2(math.e))
         rational = bits * (terms + len(summed) * bits / 16) <= RATIONAL_BUDGET
-    if summed and not rational and N > _LOG_LIMIT:
-        raise DomainError('the log path takes N <= 10^150; mode="rational" takes any N')
+    if summed and not rational and n > 1.7976931348623157e308:
+        raise DomainError("the log path computes in floats and takes n up to about 1.8e308")
     if rational:
         if inside and inside[3] < terms:
             summed, aside = ([inside], 0) if inside[3] else ([], 1)
+        # Every binomial's smaller argument is at most min(n, N - n).
+        if summed and n >= 2**63 and N - n >= 2**63:
+            raise DomainError("the rational path takes min(n, N - n) < 2^63, math.comb's range")
         whole = math.comb(N, n) if summed else 1
         total = aside * whole
         for walk in summed:

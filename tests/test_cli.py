@@ -191,14 +191,20 @@ class TestExitCodes:
                 "t is positive but underflows to 0.0",
             ),
             (
-                ["tail", "--population", "1" + "0" * 200, "--positives", "10", "--samples", "5",
-                 "--threshold", "1", "--side", "upper", "--mode", "log"],
-                "the log path takes N <= 10^150",
+                ["tail", "--population", "1" + "0" * 400, "--positives", "10",
+                 "--samples", "1" + "0" * 399, "--threshold", "1", "--side", "upper",
+                 "--mode", "log"],
+                "the log path computes in floats and takes n up to about 1.8e308",
+            ),
+            (
+                ["pmf", "--population", "1" + "0" * 30, "--positives", "10",
+                 "--samples", "1" + "0" * 20, "--observed", "1", "--mode", "rational"],
+                "the rational path takes min(n, N - n) < 2^63",
             ),
         ],
         ids=["sampler-limit", "trial-limit", "beyond-float-range", "halfwidth-underflow",
              "delta-underflow", "not-a-decimal", "bound-positives", "deviation-underflow",
-             "bound-underflow", "log-path-limit"],
+             "bound-underflow", "log-path-limit", "rational-path-limit"],
     )
     def test_diagnostic_names_the_limit(self, capsys, argv, message):
         assert run(argv) == 2

@@ -247,8 +247,8 @@ class TestLogSpace:
         tail = upper_tail((N, M), n, 320, mode="log")
         tail_exact = oracles.upper_tail(N, M, n, 320)
         assert abs(tail.value - tail_exact) <= 1e-10 * tail_exact
-        # The log path holds up to its limit, N = 10^150; the rational
-        # path takes any N.
+        # The log path agrees with the rational one at N = 10^150 too
+        # (TestLogPathPastTheFloatRange goes to N = 10^1000).
         log = upper_tail((10**150, 10**149), 1000, 130, mode="log")
         exact = upper_tail((10**150, 10**149), 1000, 130, mode="rational")
         assert abs(log.value - exact.value) <= 1e-12 * exact.value
@@ -430,6 +430,48 @@ class TestLogPmfSweep:
         assert worst > 0  # the sweep reached cases that round
 
 
+class TestLogPathPastTheFloatRange:
+    """The log path at N past the largest float, within 1e-12 of mpmath at
+    more digits than N has: relative in the value where it is a normal
+    double, else in the log, relative to max(1, |log|)."""
+
+    @pytest.mark.parametrize("N", [10**150, 10**160, 10**200, 10**400, 10**1000],
+                             ids=["1e150", "1e160", "1e200", "1e400", "1e1000"])
+    def test_within_1e12_of_mpmath(self, N):
+        calls = [
+            ("pmf", (N, N // 3), 1000, 0),  # i = 0: q^m of the positives
+            ("pmf", (N, N // 3), 1000, 1000),  # i = n: q^m of the negatives, below the doubles
+            ("pmf", (N, N // 3), 1000, 333),  # the mode
+            ("upper", (N, N // 3), 1000, 380),  # about 3 sd above the mean
+            ("lower", (N, N // 3), 1000, 290),
+            ("pmf", (N, N - 10), 1000, 1000),  # i = n, close to 1
+            ("pmf", (N, 10), 10**5, 10),  # i = M: p^m at a tiny mean
+            ("pmf", (N, 10), 10**5, 3),
+            ("lower", (N, 10), 10**5, 0),  # i = 0, close to 1
+            ("upper", (N, 10), 10**5, 1),
+        ]
+        if N == 10**200:
+            calls += [("upper", (N, N // 10), 1000, 200), ("pmf", (N, 10), 5, 1)]
+        if N == 10**400:
+            # x / m = 10^301 passes the float range in bd0, and the values
+            # are normal doubles.
+            calls += [("pmf", (N, 10), 10**98, 1), ("upper", (N, 10), 10**98, 1),
+                      ("lower", (N, N // 10), 1000, 50)]
+        lib = {"pmf": pmf, "lower": lower_tail, "upper": upper_tail}
+        ref = {"pmf": _mp_log_pmf, "lower": _mp_lower, "upper": _mp_upper}
+        with mpmath.workdps(len(str(N)) + 30):
+            for call, pop, n, k in calls:
+                res = lib[call](pop, n, k, mode="log")
+                assert not res.is_exact
+                expected = ref[call](*pop, n, k)
+                expected = expected if call == "pmf" else mpmath.log(expected)
+                if expected >= math.log(2.0**-1022):
+                    err = abs(res.value - mpmath.exp(expected)) / mpmath.exp(expected)
+                else:
+                    err = abs(res.log_value - expected) / max(1, -expected)
+                assert err <= 1e-12, (call, pop, n, k, float(err))
+
+
 def _crossing(log_pmf, start, end, target):
     """The last i from start toward end with log_pmf(i) >= target: the
     pmf falls monotonically away from the mode."""
@@ -603,10 +645,11 @@ class TestValidation:
             # No terms to walk: the mode is checked before the exact 0 or 1.
             lambda: upper_tail((10, 7), 5, 0, mode="fast"),
             lambda: pmf((10, 7), 5, 1, mode="fast"),
-            # Walks with terms on the log path beyond N = 10^150.
-            lambda: upper_tail((10**200, 10**199), 1000, 200),
-            lambda: pmf((10**200, 10), 5, 1, mode="log"),
-            lambda: lower_tail((10**400, 10**399), 1000, 50),
+            # Walks with terms at an n past each path's range: the largest
+            # float on the log path, math.comb's 2^63 on the rational one.
+            lambda: pmf((10**400, 10), 10**399, 1, mode="log"),
+            lambda: pmf((10**30, 10), 10**20, 1, mode="rational"),
+            lambda: upper_tail((10**30, 10**29), 10**30 - 10**20, 10**29, mode="rational"),
         ],
     )
     def test_domain_errors(self, call):
@@ -639,7 +682,7 @@ class TestPricePastTheFloatRange:
         "call",
         [
             # k = min(n, N - n) = 10^399 is past the largest float; "auto"
-            # prices it past the budget, and the log path refuses N.
+            # prices it past the budget, and the log path refuses that n.
             lambda: upper_tail((10**400, 10), 10**399, 5),
             lambda: pmf((10**400, 10), 10**399, 1),
         ],

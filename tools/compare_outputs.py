@@ -13,6 +13,10 @@ line.  It covers:
 - `two_sided_exact` in "auto" and "log" at every N <= 40, M and n, for
   six deviations c;
 - 3,000 seeded log-path calls of all four at N from 10^5 to 10^8;
+- 1,000 seeded log-path calls of all four at N from 10^150 to 10^1000,
+  with i or k at 0, n and M among the draws and M = 10 (a tiny mean) or
+  N - 10 among the populations, at n up to 10^300 where the support has
+  at most 11 outcomes and up to 10^4 elsewhere;
 - 5,000 seeded "rational" tails and two-sided calls at N up to 10^4 and
   n up to 2 * 10^3, with thresholds and deviations both near the mean
   (the range inside is shorter than the walks outside it) and near the
@@ -26,11 +30,12 @@ line.  It covers:
 - 600 seeded calls of all four in "auto" at N from 10 to 10^8, with
   thresholds within 5 standard deviations of the mean;
 - 4,000 seeded rounds of the closed forms at N from 1 to 10^400 (about
-  2^53 and the poll among them): every `BoundFamily` through
-  `tail_bound` and `concentration_bound`, with and without M, and
-  `kl_upper_tail_bound`; the four interval functions with a float, int
-  and Fraction delta and half-width, n = N (a census) included; and both
-  planners, each record the result's repr or the error raised;
+  2^53, the poll and N from 10^154 to 10^308 among them): every
+  `BoundFamily` through `tail_bound` and `concentration_bound`, with and
+  without M, and `kl_upper_tail_bound`; the four interval functions with
+  a float, int and Fraction delta and half-width, n = N (a census) and n
+  within 10 of N included, and an integer half-width up to 1,000 at any
+  N; and both planners, each record the result's repr or the error raised;
 - every `cli_oneshot(seed)` argv of `bench/workloads.py` for seeds 1-10
   and the `EXTRA_ARGV` below, in json, text and csv, at --digits 12 and
   at --digits 1, where a rounded integer or exact string would show
@@ -45,12 +50,15 @@ error raised.  The workload lists come from this checkout's `bench/`,
 which the sweep only reads.  Prints the number of records per section,
 the first differences (the head and tail of a long record), and exits 1
 if there are any.  For each section of probabilities that differ it
-also prints how many differ, how many changed type (Fraction or float)
-and the worst relative difference |expm1(log_new - log_old)|, read from
-the records' logs (a Fraction's from its value); an error record differs
-but has no such difference.  For `closed-form` it prints how many records
-differ only in `delta=`, the worst relative move of that delta, and per
-call how many went from an error to a value or back.  The two processes
+also prints how many differ, how many changed type (Fraction or float),
+how many went from an error to a value or back, and the worst relative
+difference |expm1(log_new - log_old)|, read from the records' logs (a
+Fraction's from its value).  A probability that underflows to 0.0 is
+measured by |log_new - log_old| / max(1, |log|) instead: two ulps of a log
+of -186,413 would read as a relative difference of 5.8e-11.  For
+`closed-form` it prints how many records differ only in `delta=`, the
+worst relative move of that delta, and per call how many went from an
+error to a value or back.  The two processes
 run side by side; on two cores (Python 3.11) the sweep takes 35-50 s.
 """
 
@@ -97,8 +105,8 @@ EXTRA_ARGV = (
 )
 
 #: the sections whose every record is a `_prob` value.
-PROB_SECTIONS = ("exact-small", "two-sided-small", "log-path", "rational", "budget-edge",
-                 "auto-large", "auto-mid")
+PROB_SECTIONS = ("exact-small", "two-sided-small", "log-path", "log-path-large", "rational",
+                 "budget-edge", "auto-large", "auto-mid")
 
 #: populations (N, M, n) for the runs of more than one block.
 MULTI_BLOCK_POPULATIONS = ((60, 24, 30), (1000, 400, 500), (4 * 10**7, 2 * 10**7, 10**7))
@@ -144,6 +152,24 @@ def _log_path(h):
             x = rng.choice((rng.uniform(0.1, 500.0), Fraction(rng.randint(1, 3_000), 7)))
         else:
             x = rng.randint(0, n)
+        yield f"{name}({N}, {M}), {n}, {x!r}", _prob(
+            getattr(h, name), (N, M), n, x, mode="log")
+
+
+def _log_path_large(h):
+    rng = random.Random("compare-outputs/log-path-large")
+    for _ in range(1_000):
+        N = rng.choice((10**150, 10**160, 10**200, 10**400, 10**1000))
+        M = rng.choice((10, N - 10, rng.randint(0, N), N // 3))
+        n = rng.randint(1, 10 ** rng.randint(1, 4))
+        if M in (10, N - 10) and rng.random() < 0.5:  # at most 11 outcomes: every walk is short
+            n = rng.randint(1, min(N, 10 ** rng.randint(5, 300)))
+        name = rng.choice(("pmf", "lower_tail", "upper_tail", "two_sided_exact"))
+        if name == "two_sided_exact":
+            sd = math.sqrt(n * M * (N - M) * (N - n) / (N * N * (N - 1)))
+            x = rng.choice((rng.uniform(0.1, 4) * sd or 0.5, Fraction(rng.randint(1, 3_000), 7)))
+        else:
+            x = rng.choice((0, n, min(M, n), rng.randint(0, n)))
         yield f"{name}({N}, {M}), {n}, {x!r}", _prob(
             getattr(h, name), (N, M), n, x, mode="log")
 
@@ -216,8 +242,9 @@ def _closed_form(h):
     for _ in range(4_000):
         N = rng.choice((rng.randint(1, 100), rng.randint(101, 10**6), 17_793_691,
                         rng.randint(2**53 - 20, 2**53 + 20), rng.randint(10**12, 10**15),
-                        10**160, 10**200, 10**400))
-        n = rng.choice((1, rng.randint(1, N), rng.randint(1, N), N // 2 or 1, N // 2 + 1, N, N + 1))
+                        int(10 ** rng.uniform(154, 308)), 10**160, 10**200, 10**400))
+        n = rng.choice((1, rng.randint(1, N), rng.randint(1, N), N // 2 or 1, N // 2 + 1, N, N + 1,
+                        max(N - rng.randint(1, 10), 1)))
         M = rng.choice((None, 0, rng.randint(0, N), rng.randint(0, N), N, N + 1))
         t = rng.choice((rng.uniform(1e-4, 0.6), rng.uniform(1e-4, 0.6), 2e-3, 1, -0.5,
                         Fraction(rng.randint(1, 60), rng.randint(1, 99))))
@@ -231,7 +258,7 @@ def _closed_form(h):
         i = rng.randint(0, max(0, min(n, N)))
         deltas = (rng.uniform(1e-9, 0.999), 1, Fraction(1, rng.randint(2, 10**6)))
         widths = (rng.uniform(1e-3, 1.5) * min(N, 2**1000), rng.randint(1, 2 * N),
-                  Fraction(rng.randint(1, 3 * N), rng.randint(1, 97)))
+                  Fraction(rng.randint(1, 3 * N), rng.randint(1, 97)), rng.randint(1, 1000))
         for name, x in itertools.chain(
                 itertools.product(("halfwidth_for_confidence", "b1_halfwidth_for_confidence"),
                                   deltas),
@@ -279,6 +306,7 @@ SECTIONS = {
     "exact-small": _exact_small,
     "two-sided-small": _two_sided_small,
     "log-path": _log_path,
+    "log-path-large": _log_path_large,
     "rational": _rational,
     "budget-edge": _budget_edge,
     "auto-large": _auto_large,
@@ -339,15 +367,25 @@ def _read_prob(record: str | None) -> tuple[bool, float] | None:
 
 
 def _moved(pairs: list) -> str:
-    """How far a section's differing probabilities moved, from their logs."""
-    changed, worst = 0, None
+    """How far a section's differing probabilities moved, from their logs:
+    relative in the value, or in the log where the value underflows to 0.0
+    (module docstring); and how many went from an error to a value or back."""
+    changed, worst, flips = 0, {"value": None, "log": None}, [0, 0]
     for old, new in pairs:
-        if old and new:
-            changed += old[0] != new[0]
-            gap = 0.0 if old[1] == new[1] else abs(math.expm1(new[1] - old[1]))
-            worst = gap if worst is None else max(worst, gap)
-    worst = "none" if worst is None else f"{worst:.2g}"
-    return f"{len(pairs)} differ, {changed} changed type, worst relative difference {worst}"
+        if not (old and new):
+            flips[bool(old)] += bool(old) != bool(new)
+            continue
+        changed += old[0] != new[0]
+        lo, hi = sorted((old[1], new[1]))
+        if -math.inf < lo and math.exp(lo) == 0.0:
+            kind, gap = "log", (hi - lo) / max(1.0, -lo)
+        else:
+            kind, gap = "value", 0.0 if lo == hi else abs(math.expm1(new[1] - old[1]))
+        worst[kind] = gap if worst[kind] is None else max(worst[kind], gap)
+    worst = {kind: "none" if gap is None else f"{gap:.2g}" for kind, gap in worst.items()}
+    return (f"{len(pairs)} differ, {changed} changed type, error -> value {flips[0]}, "
+            f"value -> error {flips[1]}, worst relative difference {worst['value']}, "
+            f"in the log below the doubles {worst['log']}")
 
 
 _DELTA = re.compile(r"delta=([^,)]+)")
