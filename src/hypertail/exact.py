@@ -44,12 +44,13 @@ integer floor division on the bound's exact ratio.
 The log pmf is Loader's saddle-point form in O(1) (C. Loader, "Fast and
 Accurate Computation of Binomial Probabilities", 2000; R's dhyper):
 log h = log b(i; M, p) + log b(n - i; N - M, p) - log b(n; N, p) at
-p = n / N, each binomial log pmf made of stirlerr and bd0 terms.  Each
-float in them is a quotient of integers rounded once, as x - m p =
-+-(i N - M n) / N, or the log of an integer: the log path takes any N and
-n up to the largest float, 1.8e308 (the rational path min(n, N - n) < 2^63,
-math.comb's range; DomainError past either).  Against mpmath the pmf is
-within 3e-13 relative wherever it is a normal double, at N up to 10^1000.
+p = n / N, each a sum of stirlerr and bd0 terms, whose floats are integer
+quotients rounded once, as x - m p = +-(i N - M n) / N, or logs of
+integers, each finite where log h is.  So the log path takes any N and n
+up to the largest float, 1.8e308, and a log h below -1.8e308 reads -inf;
+the rational path takes min(n, N - n) < 2^63, math.comb's range
+(DomainError past either).  Against mpmath the pmf is within 3e-13
+relative where it is a normal double, at N to 10^1000 and n to 1.7e308.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ RATIONAL_BUDGET = 25_000_000
 
 _MODES = ("auto", "rational", "log")
 
-#: _bd0's series stops once its next term is below this fraction of its
-#: total.
+#: _bd0's series stops once its next term is below this fraction of its total.
 _TRUNCATION = 2.0**-60
 
 #: The log walk tests that stop once every _CHECK terms (module docstring).
@@ -110,9 +110,9 @@ class Population:
 class ExactProb:
     """A probability as an exact rational or float, plus its natural log.
 
-    `value` is a Fraction when produced by the rational path and a float
-    when produced by the log path.  `log_value` is -inf exactly when the
-    probability is zero.
+    `value` is a Fraction from the rational path and a float from the log
+    path.  `log_value` is -inf when the probability is 0 or, on the log
+    path, below exp(-1.8e308) (module docstring).
     """
 
     value: Fraction | float
@@ -175,6 +175,7 @@ _STIRLERR = (
     0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 )
+_LOG_2PI = math.log(2 * math.pi)
 
 
 def _stirlerr(k: int) -> float:
@@ -189,11 +190,13 @@ def _stirlerr(k: int) -> float:
 def _bd0(x: int, a: int, N: int) -> float:
     """x log(x / m) + m - x at m = a / N > 0, by the odd series in
     v = (xN - a) / (xN + a) from 2xv = d (1 + v), d = (xN - a) / N, while
-    |v| < 1/2; x / m is the quotient xN / a wherever it fits a float."""
+    |v| < 1/2, else as x (log(x / m) - d / x), finite wherever the result
+    is; x / m is the quotient xN / a wherever it fits a float."""
     xN = x * N
     v, d = (xN - a) / (xN + a), (xN - a) / N
     if abs(v) >= 0.5:
-        return x * (math.log(xN / a) if xN >> 1000 < a else math.log(xN) - math.log(a)) - d
+        ratio = math.log(xN / a) if xN >> 1000 < a else math.log(xN) - math.log(a)
+        return x * (ratio - (xN - a) / xN)
     total, term, j = d * v, d * (1 + v), 1
     while abs(term) > _TRUNCATION * total:
         term *= v * v
@@ -217,7 +220,7 @@ def _log_pmf(N: int, M: int, n: int, i: int) -> float:
             continue
         total += sign * (
             _stirlerr(m) - _stirlerr(x) - _stirlerr(y) - _bd0(x, m * n, N)
-            - _bd0(y, m * (N - n), N) - 0.5 * (math.log(2 * math.pi * s) + math.log1p(-s / m))
+            - _bd0(y, m * (N - n), N) - 0.5 * (_LOG_2PI + math.log(s) + math.log1p(-s / m))
         )
     return total
 
@@ -236,11 +239,8 @@ def _walk(N: int, M: int, n: int, k: int) -> tuple[bool, int, int, int]:
 
 
 def _sum_walk(N: int, n: int, walk, rational: bool) -> int | float:
-    """A tail (or the pmf) from its walk of one or more terms of r(i) = h(i + 1) / h(i)
-    = p / q, p = (M - i)(n - i) and q = (i + 1)(N - M - n + i + 1), each stepped by
-    its exact differences: the integer sum C(N, n) P[i >= k], unflipped, or a log.
-    The log walk keeps float counters below (N + 1)(n + 1) = 2^53 and tests its stop
-    every _CHECK terms; neither changes a result (module docstring)."""
+    """A tail (or the pmf) from its walk of one or more terms of r(i) = p / q
+    (module docstring): the integer sum C(N, n) P[i >= k], unflipped, or a log."""
     flip, M, k, terms = walk
     p, q = (M - k) * (n - k), (k + 1) * (N - M - n + k + 1)
     dp, dq, step = 2 * k + 1 - M - n, N - M - n + 2 * k + 3, 2

@@ -433,7 +433,8 @@ class TestLogPmfSweep:
 class TestLogPathPastTheFloatRange:
     """The log path at N past the largest float, within 1e-12 of mpmath at
     more digits than N has: relative in the value where it is a normal
-    double, else in the log, relative to max(1, |log|)."""
+    double, else in the log, relative to max(1, |log|); a log below the
+    float range reads -inf."""
 
     @pytest.mark.parametrize("N", [10**150, 10**160, 10**200, 10**400, 10**1000],
                              ids=["1e150", "1e160", "1e200", "1e400", "1e1000"])
@@ -457,6 +458,17 @@ class TestLogPathPastTheFloatRange:
             # are normal doubles.
             calls += [("pmf", (N, 10), 10**98, 1), ("upper", (N, 10), 10**98, 1),
                       ("lower", (N, N // 10), 1000, 50)]
+        if N >= 10**400:
+            # n near the largest float: 2 pi s passes it at s > 2.9e307, and
+            # x log(x / m) in bd0 at the last pmf, whose log is -1.6e308.
+            big = 17 * 10**307
+            calls += [("pmf", (N, N // 2), 4 * 10**307, 2 * 10**307),  # the mode
+                      ("upper", (N, N // 2), 4 * 10**307, 3 * 10**307),
+                      ("pmf", (N, N // 2), big, big // 2),
+                      ("lower", (N, N // 2), big, 6 * 10**307),
+                      ("upper", (N, N // 2), big, 11 * 10**307),
+                      ("pmf", (N, N // 1000), 95 * 10**306, 95 * 10**306 // 3),
+                      ("pmf", (N, N // 10**20), big, big)]  # a log h below -1.8e308
         lib = {"pmf": pmf, "lower": lower_tail, "upper": upper_tail}
         ref = {"pmf": _mp_log_pmf, "lower": _mp_lower, "upper": _mp_upper}
         with mpmath.workdps(len(str(N)) + 30):
@@ -465,6 +477,9 @@ class TestLogPathPastTheFloatRange:
                 assert not res.is_exact
                 expected = ref[call](*pop, n, k)
                 expected = expected if call == "pmf" else mpmath.log(expected)
+                if expected < -1.7976931348623157e308:
+                    assert res.value == 0 and res.log_value == float("-inf")
+                    continue
                 if expected >= math.log(2.0**-1022):
                     err = abs(res.value - mpmath.exp(expected)) / mpmath.exp(expected)
                 else:

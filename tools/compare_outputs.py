@@ -14,9 +14,10 @@ line.  It covers:
   six deviations c;
 - 3,000 seeded log-path calls of all four at N from 10^5 to 10^8;
 - 1,000 seeded log-path calls of all four at N from 10^150 to 10^1000,
-  with i or k at 0, n and M among the draws and M = 10 (a tiny mean) or
-  N - 10 among the populations, at n up to 10^300 where the support has
-  at most 11 outcomes and up to 10^4 elsewhere;
+  with i or k at 0, n, M and the mean among the draws and M = 10 (a tiny
+  mean) or N - 10 among the populations, at n up to 10^309 (past the
+  largest float) for a pmf or where the support has at most 11 outcomes,
+  and up to 10^4 elsewhere;
 - 5,000 seeded "rational" tails and two-sided calls at N up to 10^4 and
   n up to 2 * 10^3, with thresholds and deviations both near the mean
   (the range inside is shorter than the walks outside it) and near the
@@ -161,15 +162,16 @@ def _log_path_large(h):
     for _ in range(1_000):
         N = rng.choice((10**150, 10**160, 10**200, 10**400, 10**1000))
         M = rng.choice((10, N - 10, rng.randint(0, N), N // 3))
-        n = rng.randint(1, 10 ** rng.randint(1, 4))
-        if M in (10, N - 10) and rng.random() < 0.5:  # at most 11 outcomes: every walk is short
-            n = rng.randint(1, min(N, 10 ** rng.randint(5, 300)))
         name = rng.choice(("pmf", "lower_tail", "upper_tail", "two_sided_exact"))
+        n = rng.randint(1, 10 ** rng.randint(1, 4))
+        if (name == "pmf" or M in (10, N - 10)) and rng.random() < 0.5:
+            # One term, or at most 11 outcomes: every walk is short.
+            n = rng.randint(1, min(N, 10 ** rng.randint(5, 309)))
         if name == "two_sided_exact":
             sd = math.sqrt(n * M * (N - M) * (N - n) / (N * N * (N - 1)))
             x = rng.choice((rng.uniform(0.1, 4) * sd or 0.5, Fraction(rng.randint(1, 3_000), 7)))
         else:
-            x = rng.choice((0, n, min(M, n), rng.randint(0, n)))
+            x = rng.choice((0, n, min(M, n), n * M // N, rng.randint(0, n)))
         yield f"{name}({N}, {M}), {n}, {x!r}", _prob(
             getattr(h, name), (N, M), n, x, mode="log")
 
