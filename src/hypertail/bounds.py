@@ -38,7 +38,7 @@ from enum import Enum
 
 from ._validation import as_int, check_positive, check_range
 from .errors import DomainError, UnsupportedBoundError
-from .exact import Population, _log_add, as_population
+from .exact import _counts, _log_add
 
 _LN2 = math.log(2.0)
 
@@ -52,7 +52,7 @@ class BoundFamily(Enum):
     AUTO = "auto"
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoundValue:
     """A tail bound together with the formula that produced it.
 
@@ -148,7 +148,7 @@ def kl_upper_tail_bound(pop, n: int, t: float) -> BoundValue:
     exact ratio it was read from.  Tighter than b1_tail wherever both
     apply.
     """
-    return _kl(as_population(pop), n, t, False)
+    return _kl(*_counts(pop), n, t, False)
 
 
 def b1_tail(n: int, t: float) -> BoundValue:
@@ -185,15 +185,15 @@ def best_bound(N: int, n: int, t: float) -> BoundValue:
     return _closed_form(BoundFamily.AUTO, N, n, t)
 
 
-def _kl(pop: Population, n, t, two_sided: bool) -> BoundValue:
-    """The KL bound on pop's upper tail, or on both (the lower is the flipped
-    pop's upper) if two_sided, each exponent clamped to 0 before the sum."""
-    if pop.M is None:
+def _kl(N: int, M: int | None, n, t, two_sided: bool) -> BoundValue:
+    """The KL bound on (N, M)'s upper tail, or on both (the lower is the flipped
+    population's upper) if two_sided, each exponent clamped to 0 before the sum."""
+    if M is None:
         raise UnsupportedBoundError("the KL bound requires a known positive count M")
-    _, n, t = _check_nt(pop.N, n, t)
-    exponent = _kl_exponent(pop.N, pop.M, n, t)
+    _, n, t = _check_nt(N, n, t)
+    exponent = _kl_exponent(N, M, n, t)
     if two_sided:
-        down = _kl_exponent(pop.N, pop.N - pop.M, n, t)
+        down = _kl_exponent(N, N - M, n, t)
         exponent = _log_add(min(0.0, exponent), min(0.0, down)) - _LN2
     return _clamped(exponent, BoundFamily.KL, two_sided)
 
@@ -203,9 +203,9 @@ def _bound(N, n, t, family, M, two_sided: bool) -> BoundValue:
     if not isinstance(family, BoundFamily):
         raise DomainError(f"family must be a BoundFamily, got {family!r}")
     if M is not None or family is BoundFamily.KL:
-        pop = Population(N, M)
+        N, M = _counts((N, M))
         if family is BoundFamily.KL:
-            return _kl(pop, n, t, two_sided)
+            return _kl(N, M, n, t, two_sided)
     return _closed_form(family, N, n, t, two_sided)
 
 

@@ -91,14 +91,12 @@ class Population:
     M: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "N", check_range(self.N, "N", 1))
-        if self.M is not None:
-            object.__setattr__(self, "M", check_range(self.M, "M", 0, self.N))
+        N, M = _counts((self.N, self.M))
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "M", M)
 
     def require_positives(self) -> int:
-        if self.M is None:
-            raise DomainError("positive count M is required but unknown")
-        return self.M
+        return _check_sample(self, 0)[1]
 
     @property
     def positive_fraction(self) -> Fraction:
@@ -140,6 +138,8 @@ class ExactProb:
 
     @classmethod
     def from_log(cls, log_value: float) -> "ExactProb":
+        if not log_value < math.inf:  # NaN or +inf: a float overflowed on the way
+            raise DomainError(f"log probability must be a number below +inf, got {log_value}")
         log_value = min(0.0, log_value)
         return cls(math.exp(log_value), log_value)
 
@@ -151,15 +151,23 @@ class ExactProb:
         return float(self.value)
 
 
+def _counts(pop) -> tuple[int, int | None]:
+    """N and M, None if unknown, of a Population, an (N,) or (N, M) tuple or
+    list, or a bare N, checked as Population checks them: the package's one
+    reader of a population argument, which builds no Population."""
+    if not isinstance(pop, (tuple, list)):
+        if isinstance(pop, Population):
+            return pop.N, pop.M
+        pop = (pop,)
+    elif not 1 <= len(pop) <= 2:
+        raise DomainError(f"population must be (N,) or (N, M), got {pop!r}")
+    N = check_range(pop[0], "N", 1)
+    return N, None if len(pop) == 1 or pop[1] is None else check_range(pop[1], "M", 0, N)
+
+
 def as_population(pop) -> Population:
     """Coerce a Population, an (N, M) pair, or a bare N into a Population."""
-    if isinstance(pop, Population):
-        return pop
-    if isinstance(pop, (tuple, list)):
-        if not 1 <= len(pop) <= 2:
-            raise DomainError(f"population must be (N,) or (N, M), got {pop!r}")
-        return Population(*pop)
-    return Population(pop)
+    return pop if isinstance(pop, Population) else Population(*_counts(pop))
 
 
 def _support(N: int, M: int, n: int) -> tuple[int, int]:
@@ -265,7 +273,8 @@ def _sum_walk(N: int, n: int, walk, rational: bool) -> int | float:
         if term * r < 2.0**-55 * total:
             break
     log_value = _log_pmf(N, M, n, k) + math.log(total)
-    return math.log(-math.expm1(log_value)) if flip else log_value
+    # A +inf log (a float that overflowed) goes up as it is, for ExactProb.from_log to reject.
+    return math.log(-math.expm1(log_value)) if flip and log_value < math.inf else log_value
 
 
 def _outcome_range(N: int, M: int, n: int, w, scale: int, closed: bool) -> tuple[int, int]:
@@ -323,13 +332,11 @@ def _priced(N: int, n: int, walks, mode: str, inside=()) -> ExactProb:
 
 
 def _check_sample(pop, n) -> tuple[int, int, int]:
-    """N, the required positive count M, and 0 <= n <= N; an (N, M) tuple is
-    checked as Population checks it, without building one."""
-    if isinstance(pop, tuple) and len(pop) == 2 and pop[1] is not None:
-        N = check_range(pop[0], "N", 1)
-        return N, check_range(pop[1], "M", 0, N), check_range(n, "n", 0, N)
-    pop = as_population(pop)
-    return pop.N, pop.require_positives(), check_range(n, "n", 0, pop.N)
+    """N, the required positive count M, and 0 <= n <= N."""
+    N, M = _counts(pop)
+    if M is None:
+        raise DomainError("positive count M is required but unknown")
+    return N, M, check_range(n, "n", 0, N)
 
 
 def _outside(N: int, M: int, n: int, lo: int, hi: int, mode: str) -> ExactProb:

@@ -57,7 +57,7 @@ REGIME_S1 = "S1"
 REGIME_S2 = "S2"
 
 
-@dataclass(frozen=True)
+@dataclass
 class IntervalResult:
     """A confidence interval [estimate - halfwidth, estimate + halfwidth]
     for M, in population individuals.
@@ -105,19 +105,10 @@ def _interval(N, n, i, halfwidth, delta, formula, vacuous=False, legacy=False):
         lower, upper = (centre - shift) / scale, (centre + shift) / scale
     except OverflowError:  # a half-width or end past the largest float
         raise DomainError("this interval passes the largest float, about 1.8e308") from None
-    return IntervalResult(
-        estimate=estimate,
-        halfwidth=float(halfwidth),
-        delta=delta,
-        lower=lower,
-        upper=upper,
-        formula=formula,
-        clamped_lower=min(max(lower, 0.0), float(N)),
-        clamped_upper=min(max(upper, 0.0), float(N)),
-        vacuous=vacuous,
-        legacy=legacy,
-        exact_halfwidth=width,
-    )
+    # Positional, in field order: 11 keywords more than double the record's cost.
+    return IntervalResult(estimate, float(halfwidth), delta, lower, upper, formula,
+                          min(max(lower, 0.0), float(N)), min(max(upper, 0.0), float(N)),
+                          vacuous, legacy, width)
 
 
 def _check_float_range(N) -> None:
@@ -197,7 +188,7 @@ def b1_confidence_for_halfwidth(N, n, i, c) -> IntervalResult:
     return _from_halfwidth(N, n, i, c, legacy=True)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SampleSizeResult:
     """Planner output: the smallest integer sample size whose half-width
     at miscoverage delta is at most the requested c.

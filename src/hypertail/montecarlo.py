@@ -23,7 +23,7 @@ from typing import Mapping
 
 from ._validation import check_probability, check_positive, check_range
 from .errors import DomainError
-from .exact import Population, _outcome_range
+from .exact import _check_sample, _outcome_range
 from .inference import _halfwidth
 
 BLOCK = 2**16  # trials per spawned child seed
@@ -46,19 +46,18 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        pop = Population(self.N, self.M)
-        M = pop.require_positives()
-        if max(M, pop.N - M) >= 10**9:
+        N, M, n = _check_sample((self.N, self.M), self.n)
+        if max(M, N - M) >= 10**9:
             raise DomainError("M and N - M must each be below 10^9, the limit of numpy's "
-                              f"hypergeometric sampler, got M = {M}, N - M = {pop.N - M}")
-        object.__setattr__(self, "N", pop.N)
+                              f"hypergeometric sampler, got M = {M}, N - M = {N - M}")
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "n", check_range(self.n, "n", 0, pop.N))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "trials", check_range(self.trials, "trials", 1, MAX_TRIALS))
         object.__setattr__(self, "seed", check_range(self.seed, "seed", 0, 2**64 - 1))
 
 
-@dataclass(frozen=True)
+@dataclass
 class SimulationReport:
     """Empirical frequencies from one batch of trials.
 

@@ -19,6 +19,7 @@ from hypertail import (
     BoundFamily,
     BoundValue,
     DomainError,
+    Population,
     UnsupportedBoundError,
     b1_tail,
     b2_tail,
@@ -349,6 +350,21 @@ class TestValidation:
     def test_domain_errors(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize("N, M", [(0, 0), (10, -1), (10, 11), (True, 1), (10, False)])
+    def test_population_errors_match_population(self, N, M):
+        # Every route reads (N, M) through one reader, with Population's messages.
+        with pytest.raises(DomainError) as expected:
+            Population(N, M)
+        for call in (
+            lambda: tail_bound(N, 5, 0.1, M=M),
+            lambda: concentration_bound(N, 5, 0.1, BoundFamily.KL, M=M),
+            lambda: kl_upper_tail_bound((N, M), 5, 0.1),
+            lambda: kl_upper_tail_bound(Population(N, M), 5, 0.1),
+        ):
+            with pytest.raises(DomainError) as raised:
+                call()
+            assert str(raised.value) == str(expected.value)
 
     @given(Nn=population_and_sample(n_below_N=True), t=T_STRAT)
     def test_single_tail_contract(self, Nn, t):

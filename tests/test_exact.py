@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -332,6 +333,7 @@ _SCALES = {
     "N1e8": (10**8, 3 * 10**7, 10**4),  # mean 3,000, sd about 46
     "poll": (17_793_691, 1_017_800, 10**5),  # mean about 5,720, sd about 73
     "N1e8-n1e6": (10**8, 3 * 10**7, 10**6),  # mean 300,000, sd about 456
+    "small-far": (31_350, 4_729, 29_078),  # far outcomes: _bd0's |v| >= 1/2 branch
 }
 
 
@@ -371,6 +373,7 @@ class TestLogPathAgainstMpmath:
             ("N1e8-n1e6", "upper", 297_300),
             ("N1e8-n1e6", "two", 0.5),
             ("N1e8-n1e6", "two", 1_400),
+            ("small-far", "pmf", 3_693),  # about 1.7e-290
         ],
     )
     def test_within_1e12_of_mpmath(self, scale, call, arg):
@@ -636,6 +639,18 @@ class TestExactProb:
         with pytest.raises(DomainError):
             ExactProb(Fraction(3, 2), 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("call, k", [(pmf, 3000), (upper_tail, 3100), (upper_tail, 2990)])
+    def test_log_path_rejects_a_nan_or_inf_log(self, monkeypatch, bad, call, k):
+        # A float that overflowed on the way must not read as probability 1.
+        # upper_tail at 2990, on the rising side, walks the flipped tail.
+        monkeypatch.setattr(exact, "_log_pmf", lambda *args: bad)
+        with pytest.raises(DomainError, match="below \\+inf"):
+            call((10**8, 3 * 10**7), 10**4, k, mode="log")
+
+    def test_from_log_clamps_a_rounding_above_zero(self):
+        assert ExactProb.from_log(1e-16) == ExactProb(1.0, 0.0)
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -682,6 +697,14 @@ class TestValidation:
     def test_unknown_positives_rejected(self):
         with pytest.raises(DomainError):
             pmf(Population(10), 5, 3)
+
+    @pytest.mark.parametrize("obj", [Population(10, 3), ExactProb(Fraction(1, 3), -1.0)])
+    def test_validated_types_stay_frozen(self, obj):
+        # Only the types whose __post_init__ validates are frozen and hashable.
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 1)
+        assert hash(obj) == hash(dataclasses.replace(obj))
 
 
 def _outside_terms(N, M, n, lo, hi):

@@ -7,6 +7,7 @@ simulator's exact rational threshold coincides with the two-sided
 reference computed from c = t * n.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 
 from hypertail import (
     DomainError,
+    Population,
     SimulationConfig,
     concentration_bound,
     coverage_experiment,
@@ -263,6 +265,20 @@ class TestValidation:
     def test_config_rejects_bad_inputs(self, kwargs):
         with pytest.raises(DomainError):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("N, M", [(0, 0), (10, -1), (10, 11), (True, 1), (10, False)])
+    def test_config_population_errors_match_population(self, N, M):
+        with pytest.raises(DomainError) as expected:
+            Population(N, M)
+        with pytest.raises(DomainError) as raised:
+            SimulationConfig(N, M, 5, 10, 1)
+        assert str(raised.value) == str(expected.value)
+
+    def test_config_stays_frozen(self):
+        config = SimulationConfig(10, 7, 5, 10, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.trials = 20
+        assert hash(config) == hash(SimulationConfig(10, 7, 5, 10, 1))
 
     def test_experiment_needs_at_least_one_draw(self):
         with pytest.raises(DomainError):
